@@ -1,6 +1,6 @@
 //! Simulation-throughput bench: cycles simulated per wall-clock second
 //! for each machine state, plus the quick-study wall time. Prints the
-//! same numbers that `reproduce --bench-json` persists.
+//! same numbers that `reproduce bench` persists.
 //!
 //! Like the other benches this is `harness = false`, so `cargo test`
 //! runs it too; without `--bench` it only smoke-tests a short window.
@@ -24,6 +24,7 @@ fn main() {
         };
         (0.02, cfg)
     };
-    let n = fx8_bench::throughput::measure(min_wall_s, study_cfg);
+    let opts = fx8_bench::throughput::BenchOptions::default();
+    let n = fx8_bench::throughput::measure(min_wall_s, study_cfg, &opts);
     print!("{}", fx8_bench::throughput::render("throughput", &n));
 }

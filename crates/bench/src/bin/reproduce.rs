@@ -75,11 +75,9 @@
 //!   `trace_event` JSON (Perfetto-loadable), default `study.trace.json`.
 //!
 //! Invalid configurations (e.g. `--event-capacity 0`) exit with code 2 and
-//! a one-line diagnostic naming the offending field.
-//!
-//! The pre-subcommand spelling (`reproduce --quick --audit`, `reproduce
-//! --bench-json --check-regression`, ...) still works as a hidden alias
-//! for one release and prints a deprecation note on stderr.
+//! a one-line diagnostic naming the offending field. `--help` (or `-h`),
+//! alone or after any subcommand, prints the usage on stdout and exits 0;
+//! an unknown subcommand or flag prints it on stderr and exits 1.
 
 use fx8_bench::hammer;
 use fx8_bench::throughput;
@@ -209,6 +207,8 @@ struct RunArgs {
 }
 
 enum Cmd {
+    /// `--help` / `-h`: print the usage on stdout and exit 0.
+    Help,
     Run(RunArgs),
     Bench {
         as_baseline: bool,
@@ -257,7 +257,7 @@ fn parse_run(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
             "--quick" => args.quick = true,
             "--audit" => args.audit = true,
             "--out" => args.out = Some(argv.next().ok_or("--out requires a directory")?),
-            "--help" | "-h" => return Err(usage().to_string()),
+            "--help" | "-h" => return Ok(Cmd::Help),
             flag if args.cache.parse_flag(flag, &mut argv)? => {}
             id if !id.starts_with('-') => {
                 args.ids.insert(id.to_ascii_lowercase());
@@ -288,7 +288,7 @@ fn parse_bench(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
                     .parse::<u32>()
                     .map_err(|_| format!("--max-windows: not a number: {v}"))?;
             }
-            "--help" | "-h" => return Err(usage().to_string()),
+            "--help" | "-h" => return Ok(Cmd::Help),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
@@ -322,7 +322,7 @@ fn parse_scale(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
                 widths = Some(parsed.map_err(|_| format!("--widths: not a width list: {v}"))?);
             }
             "--json" => json = Some(argv.next().ok_or("--json requires a file path")?),
-            "--help" | "-h" => return Err(usage().to_string()),
+            "--help" | "-h" => return Ok(Cmd::Help),
             flag if cache.parse_flag(flag, &mut argv)? => {}
             other => return Err(format!("unknown flag {other} for scale\n{}", usage())),
         }
@@ -348,7 +348,7 @@ fn parse_audit(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
                         .map_err(|_| format!("--width: not a number: {v}"))?,
                 );
             }
-            "--help" | "-h" => return Err(usage().to_string()),
+            "--help" | "-h" => return Ok(Cmd::Help),
             other => return Err(format!("unknown flag {other} for audit\n{}", usage())),
         }
     }
@@ -362,7 +362,7 @@ fn parse_metrics(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> 
         match a.as_str() {
             "--quick" => quick = true,
             "--json" => json = Some(argv.next().ok_or("--json requires a file path")?),
-            "--help" | "-h" => return Err(usage().to_string()),
+            "--help" | "-h" => return Ok(Cmd::Help),
             other => return Err(format!("unknown flag {other} for metrics\n{}", usage())),
         }
     }
@@ -384,7 +384,7 @@ fn parse_trace(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
                         .map_err(|_| format!("--event-capacity: not a number: {v}"))?,
                 );
             }
-            "--help" | "-h" => return Err(usage().to_string()),
+            "--help" | "-h" => return Ok(Cmd::Help),
             other => return Err(format!("unknown flag {other} for trace\n{}", usage())),
         }
     }
@@ -415,7 +415,7 @@ fn parse_serve(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
             "--wait-timeout-ms" => {
                 cfg.wait_timeout_ms = parse_num("--wait-timeout-ms", argv.next())? as u64
             }
-            "--help" | "-h" => return Err(usage().to_string()),
+            "--help" | "-h" => return Ok(Cmd::Help),
             flag if cache.parse_flag(flag, &mut argv)? => {}
             other => return Err(format!("unknown flag {other} for serve\n{}", usage())),
         }
@@ -437,97 +437,11 @@ fn parse_hammer(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
             "--requests" => opts.requests = parse_num("--requests", argv.next())?,
             "--concurrency" => opts.concurrency = parse_num("--concurrency", argv.next())?,
             "--no-record" => record = false,
-            "--help" | "-h" => return Err(usage().to_string()),
+            "--help" | "-h" => return Ok(Cmd::Help),
             other => return Err(format!("unknown flag {other} for hammer\n{}", usage())),
         }
     }
     Ok(Cmd::Hammer { opts, record })
-}
-
-/// The pre-subcommand flag spelling, kept as a hidden alias for one
-/// release: `--bench-json [--as-baseline|--check-regression]` maps to
-/// `bench`, everything else maps to `run`.
-fn parse_legacy(argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut quick = false;
-    let mut audit = false;
-    let mut out = None;
-    let mut bench_json = false;
-    let mut as_baseline = false;
-    let mut check_regression = false;
-    let mut ids = BTreeSet::new();
-    let mut argv = argv.peekable();
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--audit" => audit = true,
-            "--out" => {
-                out = Some(argv.next().ok_or("--out requires a directory")?);
-            }
-            "--bench-json" => bench_json = true,
-            "--as-baseline" => as_baseline = true,
-            "--check-regression" => check_regression = true,
-            "--help" | "-h" => return Err(usage().to_string()),
-            id if !id.starts_with('-') => {
-                ids.insert(id.to_ascii_lowercase());
-            }
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
-        }
-    }
-    if as_baseline && !bench_json {
-        return Err(format!("--as-baseline requires --bench-json\n{}", usage()));
-    }
-    if check_regression && !bench_json {
-        return Err(format!(
-            "--check-regression requires --bench-json\n{}",
-            usage()
-        ));
-    }
-    if check_regression && as_baseline {
-        return Err(format!(
-            "--check-regression and --as-baseline are mutually exclusive\n{}",
-            usage()
-        ));
-    }
-    let (new_form, cmd) = if bench_json {
-        let mut form = String::from("reproduce bench");
-        if as_baseline {
-            form.push_str(" --as-baseline");
-        }
-        if check_regression {
-            form.push_str(" --check-regression");
-        }
-        (
-            form,
-            Cmd::Bench {
-                as_baseline,
-                check_regression,
-                opts: throughput::BenchOptions::default(),
-            },
-        )
-    } else {
-        let mut form = String::from("reproduce run");
-        if quick {
-            form.push_str(" --quick");
-        }
-        if audit {
-            form.push_str(" --audit");
-        }
-        (
-            form,
-            Cmd::Run(RunArgs {
-                quick,
-                audit,
-                out,
-                cache: CacheOpts::default(),
-                ids,
-            }),
-        )
-    };
-    eprintln!(
-        "note: bare flags are deprecated and will be removed next release; \
-         use `{new_form}` instead"
-    );
-    Ok(cmd)
 }
 
 fn parse_cmd() -> Result<Cmd, String> {
@@ -549,8 +463,8 @@ fn parse_cmd() -> Result<Cmd, String> {
             "audit" => parse_audit(argv),
             "metrics" => parse_metrics(argv),
             "trace" => parse_trace(argv),
-            "--help" | "-h" => Err(usage().to_string()),
-            _ => parse_legacy(std::iter::once(first).chain(argv)),
+            "--help" | "-h" => Ok(Cmd::Help),
+            other => Err(format!("unknown subcommand {other}\n{}", usage())),
         },
     }
 }
@@ -575,7 +489,7 @@ fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode
         }
     };
     eprintln!("measuring simulation throughput for regression check...");
-    let fresh = throughput::measure_with(1.0, StudyConfig::quick(), opts);
+    let fresh = throughput::measure(1.0, StudyConfig::quick(), opts);
     print!("{}", throughput::render("committed", &committed));
     print!("{}", throughput::render("fresh", &fresh));
     let tol_pct = (throughput::REGRESSION_TOLERANCE * 100.0) as u32;
@@ -629,7 +543,7 @@ fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode
 fn run_bench_json(as_baseline: bool, opts: &throughput::BenchOptions) -> ExitCode {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
     eprintln!("measuring simulation throughput (idle / serial / loop / ff loop / quick study)...");
-    let current = throughput::measure_with(1.0, StudyConfig::quick(), opts);
+    let current = throughput::measure(1.0, StudyConfig::quick(), opts);
     let previous = std::fs::read_to_string(path)
         .ok()
         .and_then(|s| serde_json::from_str::<throughput::BenchFile>(&s).ok());
@@ -674,20 +588,12 @@ fn study_cfg(quick: bool, trace: TraceConfig) -> Result<StudyConfig, ConfigError
     builder.trace(trace).build()
 }
 
-/// Run the study, narrating scale and timing on stderr.
-fn run_study_observed(
-    cfg: StudyConfig,
-    quick: bool,
-) -> Result<(Study, StudyObservability), ApiError> {
-    run_study_cached(cfg, quick, None)
-}
-
 /// Run the study against an optional result cache, narrating scale and
 /// timing on stderr. The CLI is just another API client: the config
 /// becomes a [`JobRequest`] executed through the same entry point the
 /// HTTP server uses, so both transports validate, cache, and fail
 /// identically.
-fn run_study_cached(
+fn run_study(
     cfg: StudyConfig,
     quick: bool,
     cache: Option<&SessionCache>,
@@ -740,7 +646,7 @@ fn cmd_run(args: RunArgs) -> ExitCode {
         Err(e) => return config_error(e),
     };
     let cache = args.cache.build();
-    let (study, obs) = match run_study_cached(cfg, args.quick, cache.as_ref()) {
+    let (study, obs) = match run_study(cfg, args.quick, cache.as_ref()) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };
@@ -831,7 +737,7 @@ fn cmd_audit(quick: bool, width: Option<usize>) -> ExitCode {
     if let Some(w) = width {
         eprintln!("auditing a scaled {w}-CE cluster");
     }
-    let (study, _) = match run_study_observed(cfg, quick) {
+    let (study, _) = match run_study(cfg, quick, None) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };
@@ -895,7 +801,7 @@ fn cmd_metrics(quick: bool, json: Option<String>) -> ExitCode {
         Ok(c) => c,
         Err(e) => return config_error(e),
     };
-    let (_study, obs) = match run_study_observed(cfg, quick) {
+    let (_study, obs) = match run_study(cfg, quick, None) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };
@@ -922,7 +828,7 @@ fn cmd_trace(quick: bool, out: String, event_capacity: Option<usize>) -> ExitCod
         Err(e) => return config_error(e),
     };
     let ns_per_cycle = cfg.machine.ns_per_cycle;
-    let (_study, obs) = match run_study_observed(cfg, quick) {
+    let (_study, obs) = match run_study(cfg, quick, None) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };
@@ -1020,6 +926,10 @@ fn main() -> ExitCode {
         }
     };
     match cmd {
+        Cmd::Help => {
+            println!("{}", usage());
+            ExitCode::SUCCESS
+        }
         Cmd::Run(args) => cmd_run(args),
         Cmd::Bench {
             as_baseline,

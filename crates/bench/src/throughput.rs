@@ -4,7 +4,7 @@
 //! each state's `cycles_skipped / cycles_total` skip ratio, and the wall
 //! time of a full quick study.
 //!
-//! This is the perf trajectory of the repository: `reproduce --bench-json`
+//! This is the perf trajectory of the repository: `reproduce bench`
 //! writes the numbers to `BENCH_throughput.json` at the repo root under a
 //! `current` key, preserving the committed `baseline` so speedups and
 //! regressions stay visible across PRs (`--as-baseline` rewrites the
@@ -15,11 +15,11 @@ use fx8_core::scale::{ScaleConfig, ScaleStudy};
 use fx8_core::study::{Study, StudyConfig};
 use fx8_sim::{Cluster, ConfigError, MachineConfig};
 use fx8_workload::{kernels, WorkloadMix};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One set of throughput measurements.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ThroughputNumbers {
     /// Cycles/sec with no process mounted (IP background traffic only).
     pub idle_cycles_per_sec: f64,
@@ -45,7 +45,6 @@ pub struct ThroughputNumbers {
     pub dense_ratio: f64,
     /// Coefficient of variation (stddev/mean) across the idle timing
     /// windows — how noisy the runner was while this number was taken.
-    /// `0.0` in files written before the CoV-adaptive harness.
     pub idle_cov: f64,
     /// CoV across the serial timing windows.
     pub serial_cov: f64,
@@ -55,19 +54,18 @@ pub struct ThroughputNumbers {
     pub ff_loop_cov: f64,
     /// Total timing windows the adaptive harness ran across the four
     /// mounted states (minimum [`MIN_WINDOWS`] each; more when the rates
-    /// would not settle under the CoV threshold). `0` in older files.
+    /// would not settle under the CoV threshold).
     pub bench_windows: u64,
     /// Wall time of `Study::run(StudyConfig::quick())`, seconds.
     pub quick_study_wall_s: f64,
     /// Wall time of an *identical* quick study rerun against a warm
     /// session result cache, seconds: every session hits, so this is the
-    /// cache's assembly-and-lookup floor. `0.0` in files from before the
-    /// session cache.
+    /// cache's assembly-and-lookup floor.
     pub quick_study_warm_wall_s: f64,
     /// Wall time of an incremental width sweep ({2, base width}) against
     /// the same warm cache, seconds: the base width's sessions all hit and
     /// only width 2 computes, so this approximates the cost of *adding one
-    /// width* to an already-swept grid. `0.0` in older files.
+    /// width* to an already-swept grid.
     pub scale_sweep_wall_s: f64,
     /// Median client-observed latency (ms) of a warm-cache job round-trip
     /// (POST + long-poll) against the `fx8-serve` HTTP server, as measured
@@ -80,52 +78,8 @@ pub struct ThroughputNumbers {
     pub serve_req_per_s: f64,
 }
 
-// Hand-written so files from before the fast-forward engine still load:
-// the vendored serde errors on any missing field, so the fields this PR
-// added deserialize as 0.0 ("not measured") when a stored file lacks them.
-impl serde::Deserialize for ThroughputNumbers {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let req = |name: &str| -> Result<f64, serde::Error> {
-            serde::Deserialize::from_value(
-                v.get(name)
-                    .ok_or_else(|| serde::Error::missing_field(name))?,
-            )
-        };
-        let opt = |name: &str| -> Result<f64, serde::Error> {
-            match v.get(name) {
-                Some(x) => serde::Deserialize::from_value(x),
-                None => Ok(0.0),
-            }
-        };
-        Ok(ThroughputNumbers {
-            idle_cycles_per_sec: req("idle_cycles_per_sec")?,
-            serial_cycles_per_sec: req("serial_cycles_per_sec")?,
-            loop_cycles_per_sec: req("loop_cycles_per_sec")?,
-            ff_loop_cycles_per_sec: opt("ff_loop_cycles_per_sec")?,
-            idle_skip_ratio: opt("idle_skip_ratio")?,
-            serial_skip_ratio: opt("serial_skip_ratio")?,
-            loop_skip_ratio: opt("loop_skip_ratio")?,
-            ff_loop_skip_ratio: opt("ff_loop_skip_ratio")?,
-            dense_ratio: opt("dense_ratio")?,
-            idle_cov: opt("idle_cov")?,
-            serial_cov: opt("serial_cov")?,
-            loop_cov: opt("loop_cov")?,
-            ff_loop_cov: opt("ff_loop_cov")?,
-            bench_windows: match v.get("bench_windows") {
-                Some(x) => serde::Deserialize::from_value(x)?,
-                None => 0,
-            },
-            quick_study_wall_s: req("quick_study_wall_s")?,
-            quick_study_warm_wall_s: opt("quick_study_warm_wall_s")?,
-            scale_sweep_wall_s: opt("scale_sweep_wall_s")?,
-            serve_warm_p50_ms: opt("serve_warm_p50_ms")?,
-            serve_req_per_s: opt("serve_req_per_s")?,
-        })
-    }
-}
-
 /// The persisted `BENCH_throughput.json` contents.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchFile {
     /// Measurement taken before the zero-allocation stepper landed.
     pub baseline: ThroughputNumbers,
@@ -137,24 +91,6 @@ pub struct BenchFile {
     /// taken — the overhead record that shows feature-off throughput is
     /// untouched by the invariant auditor.
     pub audited: Option<ThroughputNumbers>,
-}
-
-// Hand-written so files from before the `audited` field still load: the
-// vendored serde errors on any missing field, and it has no `default`
-// attribute to say otherwise.
-impl serde::Deserialize for BenchFile {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| v.get(name).ok_or_else(|| serde::Error::missing_field(name));
-        Ok(BenchFile {
-            baseline: serde::Deserialize::from_value(field("baseline")?)?,
-            current: serde::Deserialize::from_value(field("current")?)?,
-            loop_speedup: serde::Deserialize::from_value(field("loop_speedup")?)?,
-            audited: match v.get("audited") {
-                Some(a) => serde::Deserialize::from_value(a)?,
-                None => None,
-            },
-        })
-    }
 }
 
 /// Why a committed `BENCH_throughput.json` could not be loaded: the file
@@ -489,29 +425,13 @@ pub fn measure_run_adaptive(
     }
 }
 
-/// Cycles/sec of `Cluster::run` on `cluster` under the default
-/// [`BenchOptions`] — the rate alone, for callers that don't need the
-/// noise bound.
-pub fn measure_run(cluster: &mut Cluster, chunk: u64, min_wall_s: f64) -> f64 {
-    measure_run_adaptive(cluster, chunk, min_wall_s, &BenchOptions::default()).rate
-}
-
 /// Measure every throughput number, including each mounted state's
-/// fast-forward skip ratio. `min_wall_s` bounds the timing window per
-/// machine state; `study_cfg` is the study timed for the last number
-/// (`StudyConfig::quick()` for the persisted measurements — smoke tests
-/// pass something smaller).
-pub fn measure(min_wall_s: f64, study_cfg: StudyConfig) -> ThroughputNumbers {
-    measure_with(min_wall_s, study_cfg, &BenchOptions::default())
-}
-
-/// [`measure`] with explicit CoV-harness knobs (`reproduce bench
-/// --cov-threshold / --max-windows` end up here).
-pub fn measure_with(
-    min_wall_s: f64,
-    study_cfg: StudyConfig,
-    opts: &BenchOptions,
-) -> ThroughputNumbers {
+/// fast-forward skip ratio, under the CoV-harness knobs `opts`
+/// (`reproduce bench --cov-threshold / --max-windows` end up here).
+/// `min_wall_s` bounds the timing window per machine state; `study_cfg`
+/// is the study timed for the last number (`StudyConfig::quick()` for
+/// the persisted measurements — smoke tests pass something smaller).
+pub fn measure(min_wall_s: f64, study_cfg: StudyConfig, opts: &BenchOptions) -> ThroughputNumbers {
     const CHUNK: u64 = 100_000;
     let mut idle = idle_cluster(1);
     let mut serial = serial_cluster(2);
@@ -532,10 +452,10 @@ pub fn measure_with(
     // the cache's entire correctness argument, so the bench asserts it on
     // every measurement.
     let cache = SessionCache::in_memory();
-    let (populated, _) = Study::run_cached(study_cfg.clone(), &cache);
+    let (populated, _) = Study::run_cached(study_cfg.clone(), Some(&cache));
     assert_eq!(populated, study, "cache-populating run diverged");
     let t1 = Instant::now();
-    let (warm, warm_obs) = Study::run_cached(study_cfg.clone(), &cache);
+    let (warm, warm_obs) = Study::run_cached(study_cfg.clone(), Some(&cache));
     let warm_wall = t1.elapsed().as_secs_f64();
     assert_eq!(warm, study, "warm-cache run diverged");
     assert_eq!(
@@ -851,20 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn old_bench_files_without_serve_fields_still_load() {
-        let f = merge(None, numbers(42.0), true, false);
-        let mut json = serde_json::to_string(&f).unwrap();
-        // Simulate a pre-serve file by stripping the new fields.
-        json = json
-            .replace(",\"serve_warm_p50_ms\":0.0", "")
-            .replace(",\"serve_req_per_s\":0.0", "");
-        assert!(!json.contains("serve_warm_p50_ms"));
-        let back: BenchFile = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.current.serve_warm_p50_ms, 0.0);
-        assert_eq!(back, f);
-    }
-
-    #[test]
     fn zero_baseline_kernel_is_skipped_not_gated() {
         // The committed file really carried ff_loop_cycles_per_sec: 0.0
         // (written before the fast-forward engine); the old gate computed
@@ -976,33 +882,20 @@ mod tests {
     }
 
     #[test]
-    fn bench_file_without_audited_key_still_loads() {
-        // Files written before the `audited` field must deserialize: the
-        // vendored serde errors on missing fields unless handled by hand.
-        let f = merge(None, numbers(10.0), true, false);
-        let json = serde_json::to_string(&f).unwrap();
-        let stripped = json
-            .replace(",\"audited\":null", "")
-            .replace("\"audited\":null,", "");
-        assert!(
-            !stripped.contains("audited"),
-            "test strips the new key: {stripped}"
-        );
-        let back: BenchFile = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.baseline, f.baseline);
-        assert_eq!(back.audited, None);
-    }
-
-    #[test]
     fn measure_run_reports_positive_rate() {
-        let rate = measure_run(&mut idle_cluster(9), 2_000, 0.01);
+        let opts = BenchOptions::default();
+        let rate = measure_run_adaptive(&mut idle_cluster(9), 2_000, 0.01, &opts).rate;
         assert!(rate > 0.0);
     }
 
     #[test]
     fn adaptive_harness_respects_window_bounds() {
+        // The population CoV of n non-negative samples is at most
+        // sqrt(n - 1), so this threshold is met by any MIN_WINDOWS windows.
+        // (0.99 was not: the idle cluster's short windows swing between
+        // ~10M and ~300M cycles/s as fast-forward engages, a CoV above 1.)
         let opts = BenchOptions {
-            cov_threshold: 0.99, // always satisfied after MIN_WINDOWS
+            cov_threshold: f64::from(MIN_WINDOWS).sqrt(),
             max_windows: 7,
         };
         let m = measure_run_adaptive(&mut idle_cluster(11), 2_000, 0.01, &opts);
@@ -1047,8 +940,8 @@ mod tests {
     #[test]
     fn committed_bench_file_parses_with_cov_fields() {
         // The checked-in BENCH_throughput.json must stay loadable by the
-        // harness that maintains it — this is the regression test for the
-        // hand-written back-compat deserializer against the real artifact.
+        // harness that maintains it: every field is present, so the
+        // derived deserializer loads the real artifact.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
         let text = std::fs::read_to_string(path).expect("committed bench file exists");
         let f: BenchFile = serde_json::from_str(&text).expect("committed bench file parses");
@@ -1066,27 +959,6 @@ mod tests {
         ] {
             assert!((0.0..1.0).contains(&cov), "cov out of range: {cov}");
         }
-    }
-
-    #[test]
-    fn numbers_without_fast_forward_fields_still_load() {
-        // BENCH files written before the fast-forward engine carry only the
-        // original four fields; they must load with the new ones at 0.0.
-        let json = r#"{
-            "idle_cycles_per_sec": 5.0,
-            "serial_cycles_per_sec": 6.0,
-            "loop_cycles_per_sec": 7.0,
-            "quick_study_wall_s": 8.0
-        }"#;
-        let n: ThroughputNumbers = serde_json::from_str(json).unwrap();
-        assert_eq!(n.idle_cycles_per_sec, 5.0);
-        assert_eq!(n.quick_study_wall_s, 8.0);
-        assert_eq!(n.ff_loop_cycles_per_sec, 0.0);
-        assert_eq!(n.idle_skip_ratio, 0.0);
-        assert_eq!(n.ff_loop_skip_ratio, 0.0);
-        assert_eq!(n.dense_ratio, 0.0, "pre-dense-stepper files default to 0");
-        assert_eq!(n.loop_cov, 0.0, "pre-CoV-harness files default to 0");
-        assert_eq!(n.bench_windows, 0, "pre-CoV-harness files default to 0");
     }
 
     #[test]

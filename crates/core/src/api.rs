@@ -168,7 +168,7 @@ impl From<ConfigError> for ApiError {
 /// `{"api":1,"job":{"study":"quick"}}` is a complete request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
-    /// Run the full study ([`Study::run_with_cache`]).
+    /// Run the full study ([`Study::run_cached`]).
     Study {
         /// The study to run.
         config: StudyConfig,
@@ -662,7 +662,7 @@ pub fn execute_with(
     req.validate()?;
     match &req.job {
         JobSpec::Study { config } => {
-            let (study, obs) = Study::run_with_hooks(config.clone(), cache, hooks)
+            let (study, obs) = Study::run_cached_with_hooks(config.clone(), cache, hooks)
                 .map_err(|Cancelled| ApiError::cancelled())?;
             let comparison = report::comparison(&study);
             Ok(JobOutcome {
@@ -705,7 +705,7 @@ pub fn execute_with(
                 on_session: Some(&cold_hook),
             };
             let (cold_study, cold_obs) =
-                Study::run_with_hooks(config.clone(), Some(&bench_cache), &cold_hooks)
+                Study::run_cached_with_hooks(config.clone(), Some(&bench_cache), &cold_hooks)
                     .map_err(|Cancelled| ApiError::cancelled())?;
             let warm_hook = offset(per_pass);
             let warm_hooks = RunHooks {
@@ -713,7 +713,7 @@ pub fn execute_with(
                 on_session: Some(&warm_hook),
             };
             let (warm_study, warm_obs) =
-                Study::run_with_hooks(config.clone(), Some(&bench_cache), &warm_hooks)
+                Study::run_cached_with_hooks(config.clone(), Some(&bench_cache), &warm_hooks)
                     .map_err(|Cancelled| ApiError::cancelled())?;
             debug_assert_eq!(cold_study, warm_study, "cache broke determinism");
             let cold_wall_s = cold_obs.study_wall_s;

@@ -1,8 +1,7 @@
 //! The study's work-stealing task executor.
 //!
-//! Extracted from `Study::run_observed` so the width sweep
-//! ([`crate::scale`]) can fan its per-width session tasks through the same
-//! pool. Tasks are pulled heaviest-first off a shared cursor by a pool
+//! The study's session fan-out schedules every session through it, one
+//! study's or a whole width sweep's ([`crate::scale`]) at a time. Tasks are pulled heaviest-first off a shared cursor by a pool
 //! sized to the host, so total wall time is bounded by the single heaviest
 //! task instead of by thread oversubscription; results are returned in
 //! *task order* regardless of completion order, so parallel runs stay

@@ -12,8 +12,7 @@
 
 use crate::api::{Cancelled, RunHooks};
 use crate::cache::{CacheStats, SessionCache};
-use crate::executor;
-use crate::study::{Study, StudyConfig, StudyConfigBuilder};
+use crate::study::{run_studies, Study, StudyConfig, StudyConfigBuilder};
 use fx8_sim::{ConfigError, MachineConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -159,17 +158,13 @@ impl std::fmt::Display for ScaleRunError {
 impl std::error::Error for ScaleRunError {}
 
 impl ScaleStudy {
-    /// Run the sweep: a complete [`Study`] per width, widths in order.
-    pub fn run(cfg: &ScaleConfig) -> Result<ScaleStudy, ConfigError> {
-        Ok(ScaleStudy::run_cached(cfg, None)?.0)
-    }
-
-    /// Run the sweep as an *incremental* fan-out: every width's session
-    /// tasks are flattened into one longest-first pool (so widths overlap
-    /// on the host instead of running one study at a time), and each task
-    /// consults the result cache before stepping. Re-running a sweep with
-    /// one added width therefore recomputes only that width's sessions —
-    /// every previously-computed (width, session) point loads.
+    /// Run the sweep as an *incremental* fan-out: a complete [`Study`] per
+    /// width, with every width's sessions flattened into one longest-first
+    /// pool (so widths overlap on the host instead of running one study at
+    /// a time), and each session consulting the result cache before
+    /// stepping. Re-running a sweep with one added width therefore
+    /// recomputes only that width's sessions — every previously-computed
+    /// (width, session) point loads.
     pub fn run_cached(
         cfg: &ScaleConfig,
         cache: Option<&SessionCache>,
@@ -184,7 +179,8 @@ impl ScaleStudy {
 
     /// The service-callable sweep: [`ScaleStudy::run_cached`] plus
     /// [`RunHooks`] — cancellation checked before each session starts and
-    /// a per-session completion callback across the whole flattened pool.
+    /// a per-session completion callback across the whole flattened pool,
+    /// labelled with the session's width (`"w8 random 0"`).
     pub fn run_cached_with_hooks(
         cfg: &ScaleConfig,
         cache: Option<&SessionCache>,
@@ -192,64 +188,25 @@ impl ScaleStudy {
     ) -> Result<(ScaleStudy, SweepStats), ScaleRunError> {
         cfg.validate()?;
         let started = std::time::Instant::now();
-        let before = cache.map(|c| c.stats());
-        let studies: Vec<StudyConfig> = cfg
+        let studies = cfg
             .widths
             .iter()
             .map(|&w| cfg.study_for_width(w).expect("validated above"))
             .collect();
-        // Flatten (width slot, session task) pairs so the executor
-        // schedules the whole sweep as one pool.
-        let tasks: Vec<(usize, crate::study::SessionTask)> = studies
+        let (studies, cache_stats) = run_studies(studies, cache, hooks, |sc, obs| {
+            format!("w{} {}", sc.machine.n_ces, obs.label)
+        })
+        .map_err(ScaleRunError::Cancelled)?;
+        let points = cfg
+            .widths
             .iter()
-            .enumerate()
-            .flat_map(|(wi, sc)| sc.session_tasks().into_iter().map(move |t| (wi, t)))
-            .collect();
-        let n_sessions = tasks.len();
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let outputs = executor::run_longest_first(
-            &tasks,
-            |(_, t)| t.weight(),
-            |(wi, t)| {
-                if hooks.is_cancelled() {
-                    return None;
-                }
-                let out = t.run(cache);
-                let obs = out.obs();
-                let label = format!("w{} {}", cfg.widths[*wi], obs.label);
-                hooks.session_done(&done, n_sessions, &label, obs.cache_hit);
-                Some(out)
-            },
-            cfg.base.parallel,
-        );
-        let outputs: Option<Vec<crate::study::SessionOut>> = outputs.into_iter().collect();
-        let Some(outputs) = outputs else {
-            return Err(ScaleRunError::Cancelled(Cancelled));
-        };
-        // Regroup outputs per width, preserving task order within each
-        // width (the flattening enumerates widths in order, and the
-        // executor returns outputs in task order).
-        let mut per_width: Vec<Vec<crate::study::SessionOut>> =
-            studies.iter().map(|_| Vec::new()).collect();
-        for ((wi, _), out) in tasks.iter().zip(outputs) {
-            per_width[*wi].push(out);
-        }
-        let points = studies
-            .into_iter()
-            .zip(per_width)
-            .zip(cfg.widths.iter())
-            .map(|((sc, outs), &w)| {
-                let (study, _obs) = Study::assemble(sc, outs);
-                ScalePoint::from_study(w, &study)
-            })
+            .zip(&studies)
+            .map(|(&w, (study, _))| ScalePoint::from_study(w, study))
             .collect();
         let stats = SweepStats {
             sweep_wall_s: started.elapsed().as_secs_f64(),
-            sessions: n_sessions,
-            cache: match (cache, before) {
-                (Some(c), Some(b)) => c.stats().since(&b),
-                _ => CacheStats::default(),
-            },
+            sessions: studies.iter().map(|(_, obs)| obs.len()).sum(),
+            cache: cache_stats,
         };
         Ok((ScaleStudy { points }, stats))
     }
@@ -302,7 +259,7 @@ mod tests {
         let mut cfg = ScaleConfig::quick();
         cfg.widths = vec![8, 65];
         assert!(cfg.validate().is_err());
-        assert!(ScaleStudy::run(&cfg).is_err());
+        assert!(ScaleStudy::run_cached(&cfg, None).is_err());
     }
 
     /// A two-point micro sweep end to end: points come back in width
@@ -315,7 +272,7 @@ mod tests {
         cfg.base.n_triggered = 0;
         cfg.base.n_transition = 0;
         cfg.widths = vec![2, 16];
-        let s = ScaleStudy::run(&cfg).unwrap();
+        let (s, _) = ScaleStudy::run_cached(&cfg, None).unwrap();
         assert_eq!(s.points.len(), 2);
         assert_eq!(s.points[0].n_ces, 2);
         assert_eq!(s.points[1].n_ces, 16);
@@ -332,5 +289,57 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: ScaleStudy = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// The sweep shares the study's session fan-out: every point equals
+    /// the point of a stand-alone study at that width, and the progress
+    /// hook fires once per session across the whole flattened pool, each
+    /// label naming its width.
+    #[test]
+    fn sweep_points_equal_standalone_studies() -> Result<(), ConfigError> {
+        let mut cfg = ScaleConfig::quick();
+        cfg.base.n_random = 1;
+        cfg.base.session_hours = vec![0.02];
+        cfg.base.n_triggered = 1;
+        cfg.base.captures_per_triggered = 1;
+        cfg.base.n_transition = 1;
+        cfg.base.captures_per_transition = 1;
+        cfg.widths = vec![2, 8];
+        let seen = std::sync::Mutex::new(Vec::new());
+        let on_session = |d: crate::api::SessionDone| seen.lock().unwrap().push(d);
+        let hooks = RunHooks {
+            cancel: None,
+            on_session: Some(&on_session),
+        };
+        let (sweep, stats) = ScaleStudy::run_cached_with_hooks(&cfg, None, &hooks)
+            .expect("an uncancelled sweep of valid widths completes");
+        assert_eq!(sweep.points.len(), cfg.widths.len());
+        for (p, &w) in sweep.points.iter().zip(&cfg.widths) {
+            let alone = ScalePoint::from_study(w, &Study::run(cfg.study_for_width(w)?));
+            assert_eq!(*p, alone, "width {w} differs from its stand-alone study");
+        }
+
+        let seen = seen.into_inner().unwrap();
+        let total = 2 * 3;
+        assert_eq!(stats.sessions, total);
+        assert_eq!(seen.len(), total, "one callback per session");
+        assert!(seen.iter().all(|d| d.total == total));
+        let mut done: Vec<usize> = seen.iter().map(|d| d.done).collect();
+        done.sort_unstable();
+        assert_eq!(done, (1..=total).collect::<Vec<_>>());
+        let mut labels: Vec<&str> = seen.iter().map(|d| d.label.as_str()).collect();
+        labels.sort_unstable();
+        assert_eq!(
+            labels,
+            [
+                "w2 random 0",
+                "w2 transition 0",
+                "w2 triggered 0",
+                "w8 random 0",
+                "w8 transition 0",
+                "w8 triggered 0",
+            ]
+        );
+        Ok(())
     }
 }

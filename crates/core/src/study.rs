@@ -10,8 +10,8 @@ use crate::api::{Cancelled, RunHooks};
 use crate::cache::{CacheStats, CachedSession, SessionCache, SessionKind};
 use crate::executor;
 use crate::experiment::{
-    run_random_session_observed, run_transition_session_observed, run_triggered_session_observed,
-    Capture, SessionConfig, SessionResult,
+    run_random_session, run_transition_session, run_triggered_session, Capture, SessionConfig,
+    SessionResult,
 };
 use crate::observability::{SessionObservability, StudyObservability};
 use crate::sample::Sample;
@@ -127,7 +127,7 @@ impl StudyConfig {
     /// The study's full session plan, in result order: random sessions
     /// first, then triggered, then transition. This is the unit the
     /// executor schedules and the cache keys.
-    pub(crate) fn session_tasks(&self) -> Vec<SessionTask> {
+    fn session_tasks(&self) -> Vec<SessionTask> {
         let mut tasks = Vec::new();
         for i in 0..self.n_random {
             let hours = self.hours_for_session(i);
@@ -161,16 +161,16 @@ impl StudyConfig {
 /// One schedulable session of a study: the protocol, the session's index
 /// within that protocol, its full config, and (for triggered kinds) the
 /// capture budget. The cache key is derived from exactly these fields.
-pub(crate) struct SessionTask {
-    pub(crate) kind: SessionKind,
-    pub(crate) idx: usize,
-    pub(crate) cfg: SessionConfig,
-    pub(crate) captures: usize,
+struct SessionTask {
+    kind: SessionKind,
+    idx: usize,
+    cfg: SessionConfig,
+    captures: usize,
 }
 
 /// One finished session, cache-transparent: the study assembles these
 /// identically whether they were computed or loaded.
-pub(crate) enum SessionOut {
+enum SessionOut {
     Random {
         idx: usize,
         result: SessionResult,
@@ -197,7 +197,7 @@ impl SessionTask {
     /// buffer (transitions seek much longer for a falling edge). Only
     /// wall time depends on this estimate — results are keyed by task
     /// index and each task owns its seeds, so order never changes output.
-    pub(crate) fn weight(&self) -> f64 {
+    fn weight(&self) -> f64 {
         match self.kind {
             SessionKind::Random => {
                 let samples = (self.cfg.hours * 3600.0 / self.cfg.sample_interval_s).max(1.0);
@@ -224,7 +224,7 @@ impl SessionTask {
     /// hit returns the memoized output bit-identical to a fresh run,
     /// under an observability slice flagged `cache_hit` (empty metrics:
     /// no cycles were stepped). A miss computes, stores, and returns.
-    pub(crate) fn run(&self, cache: Option<&SessionCache>) -> SessionOut {
+    fn run(&self, cache: Option<&SessionCache>) -> SessionOut {
         let Some(cache) = cache else {
             return self.compute();
         };
@@ -245,7 +245,7 @@ impl SessionTask {
     fn compute(&self) -> SessionOut {
         match self.kind {
             SessionKind::Random => {
-                let (result, obs) = run_random_session_observed(&self.cfg, self.idx);
+                let (result, obs) = run_random_session(&self.cfg, self.idx);
                 SessionOut::Random {
                     idx: self.idx,
                     result,
@@ -254,7 +254,7 @@ impl SessionTask {
             }
             SessionKind::Triggered => {
                 let (captures, audit, obs) =
-                    run_triggered_session_observed(&self.cfg, self.idx, self.captures);
+                    run_triggered_session(&self.cfg, self.idx, self.captures);
                 SessionOut::Triggered {
                     idx: self.idx,
                     captures,
@@ -264,7 +264,7 @@ impl SessionTask {
             }
             SessionKind::Transition => {
                 let (captures, audit, obs) =
-                    run_transition_session_observed(&self.cfg, self.idx, self.captures);
+                    run_transition_session(&self.cfg, self.idx, self.captures);
                 SessionOut::Transition {
                     idx: self.idx,
                     captures,
@@ -306,7 +306,7 @@ impl SessionTask {
 
 impl SessionOut {
     /// The session's observability slice (label, wall clock, cache flag).
-    pub(crate) fn obs(&self) -> &SessionObservability {
+    fn obs(&self) -> &SessionObservability {
         match self {
             SessionOut::Random { obs, .. }
             | SessionOut::Triggered { obs, .. }
@@ -330,6 +330,71 @@ impl SessionOut {
             },
         }
     }
+}
+
+/// One assembled study with its per-session observability, in task order.
+pub(crate) type AssembledStudy = (Study, Vec<SessionObservability>);
+
+/// The one session fan-out behind [`Study`] and [`crate::ScaleStudy`].
+/// Every study's sessions are flattened into one pool sized to the host,
+/// which pulls the heaviest remaining session first, so total wall time
+/// is bounded by the single heaviest session instead of by thread
+/// oversubscription (and a sweep's widths overlap on the host instead of
+/// running one study at a time). Each session consults `cache` before
+/// stepping. Cancellation skips sessions not yet started rather than
+/// tearing running ones; `label` names a finished session for the
+/// progress callback.
+///
+/// Returns each study with its per-session observability, in `configs`
+/// order, plus the cache counters of this run alone (zero when uncached).
+pub(crate) fn run_studies(
+    configs: Vec<StudyConfig>,
+    cache: Option<&SessionCache>,
+    hooks: &RunHooks<'_>,
+    label: impl Fn(&StudyConfig, &SessionObservability) -> String + Sync,
+) -> Result<(Vec<AssembledStudy>, CacheStats), Cancelled> {
+    let before = cache.map(|c| c.stats());
+    let tasks: Vec<(usize, SessionTask)> = configs
+        .iter()
+        .enumerate()
+        .flat_map(|(ci, c)| c.session_tasks().into_iter().map(move |t| (ci, t)))
+        .collect();
+    let total = tasks.len();
+    let done = std::sync::atomic::AtomicUsize::new(0);
+    let outputs = executor::run_longest_first(
+        &tasks,
+        |(_, t)| t.weight(),
+        |(ci, t)| {
+            if hooks.is_cancelled() {
+                return None;
+            }
+            let out = t.run(cache);
+            let obs = out.obs();
+            hooks.session_done(&done, total, &label(&configs[*ci], obs), obs.cache_hit);
+            Some(out)
+        },
+        configs.iter().all(|c| c.parallel),
+    );
+    let outputs: Option<Vec<SessionOut>> = outputs.into_iter().collect();
+    let Some(outputs) = outputs else {
+        return Err(Cancelled);
+    };
+    // The executor returns outputs in task order, and the tasks enumerate
+    // the studies in order, so regrouping keeps each study's task order.
+    let mut per_study: Vec<Vec<SessionOut>> = configs.iter().map(|_| Vec::new()).collect();
+    for ((ci, _), out) in tasks.iter().zip(outputs) {
+        per_study[*ci].push(out);
+    }
+    let studies = configs
+        .into_iter()
+        .zip(per_study)
+        .map(|(c, outs)| Study::assemble(c, outs))
+        .collect();
+    let cache_stats = match (cache, before) {
+        (Some(c), Some(b)) => c.stats().since(&b),
+        _ => CacheStats::default(),
+    };
+    Ok((studies, cache_stats))
 }
 
 /// Builder for [`StudyConfig`].
@@ -433,84 +498,44 @@ pub struct Study {
 impl Study {
     /// Run the whole study.
     pub fn run(config: StudyConfig) -> Study {
-        Study::run_observed(config).0
+        Study::run_cached(config, None).0
     }
 
-    /// Run the whole study, also returning its observability: per-session
-    /// trace metrics/events and wall-clock self-profiling. The returned
-    /// [`Study`] is bit-identical to [`Study::run`]'s — observation never
-    /// steers, and wall time lives only in the second tuple element, so
-    /// the determinism suite keeps comparing studies whole.
-    pub fn run_observed(config: StudyConfig) -> (Study, StudyObservability) {
-        Study::run_with_cache(config, None)
-    }
-
-    /// [`Study::run_observed`] against a session result cache: each
-    /// session consults the cache before stepping a single cycle and
-    /// stores its output on completion. Because the simulator is
-    /// bit-deterministic, the returned [`Study`] is bit-identical whether
-    /// every session hit, missed, or mixed — only wall clock and the
-    /// observability's [`CacheStats`] differ.
-    pub fn run_cached(config: StudyConfig, cache: &SessionCache) -> (Study, StudyObservability) {
-        Study::run_with_cache(config, Some(cache))
-    }
-
-    /// The general entry point behind [`Study::run`], [`Study::run_observed`]
-    /// and [`Study::run_cached`].
-    pub fn run_with_cache(
+    /// Run the whole study, optionally against a session result cache,
+    /// also returning its observability: per-session trace metrics/events,
+    /// wall-clock self-profiling and the run's [`CacheStats`]. Each session
+    /// consults the cache before stepping a single cycle and stores its
+    /// output on completion. The returned [`Study`] is bit-identical to
+    /// [`Study::run`]'s whether every session hit, missed, or mixed, and
+    /// whether tracing is on or off — observation never steers, and wall
+    /// time lives only in the second tuple element, so the determinism
+    /// suite keeps comparing studies whole.
+    pub fn run_cached(
         config: StudyConfig,
         cache: Option<&SessionCache>,
     ) -> (Study, StudyObservability) {
-        Study::run_with_hooks(config, cache, &RunHooks::default())
+        Study::run_cached_with_hooks(config, cache, &RunHooks::default())
             .expect("a run without a cancel token cannot be cancelled")
     }
 
-    /// The service-callable general entry point: [`Study::run_with_cache`]
-    /// plus [`RunHooks`] — a cancellation token checked before each
-    /// session starts, and a per-session completion callback for progress
+    /// The service-callable study: [`Study::run_cached`] plus
+    /// [`RunHooks`] — a cancellation token checked before each session
+    /// starts, and a per-session completion callback for progress
     /// streaming. Hooks never steer results: a completed run is
     /// bit-identical to [`Study::run`]'s.
-    pub fn run_with_hooks(
+    pub fn run_cached_with_hooks(
         config: StudyConfig,
         cache: Option<&SessionCache>,
         hooks: &RunHooks<'_>,
     ) -> Result<(Study, StudyObservability), Cancelled> {
-        let study_started = std::time::Instant::now();
-        let tasks = config.session_tasks();
-        let total = tasks.len();
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let before = cache.map(|c| c.stats());
-        // Work queue: a pool sized to the host pulls the heaviest
-        // remaining session first, so total wall time is bounded by the
-        // single heaviest session instead of by thread oversubscription.
-        // Cancellation skips sessions not yet started (returning None in
-        // their slot) rather than tearing running ones.
-        let outputs = executor::run_longest_first(
-            &tasks,
-            SessionTask::weight,
-            |t| {
-                if hooks.is_cancelled() {
-                    return None;
-                }
-                let out = t.run(cache);
-                let obs = out.obs();
-                hooks.session_done(&done, total, &obs.label, obs.cache_hit);
-                Some(out)
-            },
-            config.parallel,
-        );
-        let outputs: Option<Vec<SessionOut>> = outputs.into_iter().collect();
-        let Some(outputs) = outputs else {
-            return Err(Cancelled);
-        };
-        let (study, session_obs) = Study::assemble(config, outputs);
+        let started = std::time::Instant::now();
+        let (mut studies, cache_stats) =
+            run_studies(vec![config], cache, hooks, |_, obs| obs.label.clone())?;
+        let (study, sessions) = studies.pop().expect("one study in, one out");
         let observability = StudyObservability {
-            sessions: session_obs,
-            study_wall_s: study_started.elapsed().as_secs_f64(),
-            cache: match (cache, before) {
-                (Some(c), Some(b)) => c.stats().since(&b),
-                _ => CacheStats::default(),
-            },
+            sessions,
+            study_wall_s: started.elapsed().as_secs_f64(),
+            cache: cache_stats,
         };
         Ok((study, observability))
     }
@@ -518,7 +543,7 @@ impl Study {
     /// Assemble finished session outputs (in task order: random, then
     /// triggered, then transition — exactly the session order the
     /// observability report documents) into the study's data set.
-    pub(crate) fn assemble(
+    fn assemble(
         config: StudyConfig,
         outputs: Vec<SessionOut>,
     ) -> (Study, Vec<SessionObservability>) {
@@ -668,7 +693,7 @@ pub struct SessionAudit {
 }
 
 /// All sessions' audit reports pooled, with a text rendering for the
-/// `reproduce --audit` command line.
+/// `reproduce run --audit` command line.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StudyAuditReport {
     /// Per-session slices, in random/triggered/transition order.
@@ -864,7 +889,7 @@ mod tests {
             .trace(fx8_sim::TraceConfig::full())
             .build()
             .expect("mini study config validates");
-        let (study, obs) = Study::run_observed(traced);
+        let (study, obs) = Study::run_cached(traced, None);
         // Tracing never steers: the study equals an untraced plain run.
         let plain = Study::run(base);
         assert_eq!(study.random_sessions, plain.random_sessions);

@@ -52,13 +52,13 @@ fn warm_disk_run_is_bit_identical_to_cold_run() {
     let dir = scratch_dir("warm");
 
     let cold_cache = SessionCache::at_dir(&dir);
-    let (cold, cold_obs) = Study::run_cached(mini_study(), &cold_cache);
+    let (cold, cold_obs) = Study::run_cached(mini_study(), Some(&cold_cache));
     assert_eq!(cold_obs.cache.hits, 0);
     assert_eq!(cold_obs.cache.misses, MINI_SESSIONS);
     assert_eq!(cold_obs.cache.stores, MINI_SESSIONS);
 
     let warm_cache = SessionCache::at_dir(&dir);
-    let (warm, warm_obs) = Study::run_cached(mini_study(), &warm_cache);
+    let (warm, warm_obs) = Study::run_cached(mini_study(), Some(&warm_cache));
     assert_eq!(
         warm_obs.cache.hits, MINI_SESSIONS,
         "warm run must fully hit"
@@ -83,7 +83,7 @@ fn warm_disk_run_is_bit_identical_to_cold_run() {
 #[test]
 fn corrupt_entries_recompute_identically() {
     let dir = scratch_dir("corrupt");
-    let (cold, _) = Study::run_cached(mini_study(), &SessionCache::at_dir(&dir));
+    let (cold, _) = Study::run_cached(mini_study(), Some(&SessionCache::at_dir(&dir)));
 
     let mut mangled = 0u64;
     for (i, entry) in std::fs::read_dir(&dir)
@@ -108,7 +108,7 @@ fn corrupt_entries_recompute_identically() {
     assert_eq!(mangled, MINI_SESSIONS, "expected one entry per session");
 
     let cache = SessionCache::at_dir(&dir);
-    let (redone, obs) = Study::run_cached(mini_study(), &cache);
+    let (redone, obs) = Study::run_cached(mini_study(), Some(&cache));
     assert_eq!(redone, cold, "recompute after corruption diverged");
     assert_eq!(obs.cache.hits, 0);
     assert_eq!(obs.cache.misses, MINI_SESSIONS);
@@ -117,7 +117,7 @@ fn corrupt_entries_recompute_identically() {
         "every mangled entry must be counted, not silently missed"
     );
     // And the recompute rewrote good entries: a third run fully hits.
-    let (again, obs) = Study::run_cached(mini_study(), &SessionCache::at_dir(&dir));
+    let (again, obs) = Study::run_cached(mini_study(), Some(&SessionCache::at_dir(&dir)));
     assert_eq!(again, cold);
     assert_eq!(obs.cache.hits, MINI_SESSIONS);
 

@@ -59,15 +59,15 @@ fn session_runners_report_clean_audits() {
     cfg.mix = WorkloadMix::all_concurrent();
     cfg.validate().expect("test config is legal");
 
-    let r = run_random_session(&cfg, 0);
+    let (r, _) = run_random_session(&cfg, 0);
     assert!(r.audit.checked_cycles > 0);
     assert!(r.audit.is_clean(), "random: {}", render(&r.audit));
 
-    let (caps, audit) = run_triggered_session(&cfg, 0, 2);
+    let (caps, audit, _) = run_triggered_session(&cfg, 0, 2);
     assert!(!caps.is_empty(), "concurrent mix must trigger");
     assert!(audit.is_clean(), "triggered: {}", render(&audit));
 
-    let (caps, audit) = run_transition_session(&cfg, 0, 2);
+    let (caps, audit, _) = run_transition_session(&cfg, 0, 2);
     assert!(!caps.is_empty(), "loops must drain");
     assert!(audit.is_clean(), "transition: {}", render(&audit));
 }
@@ -161,7 +161,7 @@ proptest! {
             1 => WorkloadMix::all_concurrent(),
             _ => WorkloadMix::all_serial(),
         };
-        let r = run_random_session(&cfg, 0);
+        let (r, _) = run_random_session(&cfg, 0);
         prop_assert!(r.audit.checked_cycles > 0);
         prop_assert!(r.audit.is_clean(), "{}", render(&r.audit));
     }

@@ -21,6 +21,11 @@ fn with_ff(mut cfg: SessionConfig, on: bool) -> SessionConfig {
     cfg
 }
 
+/// A capture session's results, without its wall-clock observability.
+fn results<C, A, O>((captures, audit, _): (C, A, O)) -> (C, A) {
+    (captures, audit)
+}
+
 fn small_cfg(seed: u64) -> SessionConfig {
     SessionConfig {
         hours: 0.05,
@@ -35,8 +40,8 @@ fn small_cfg(seed: u64) -> SessionConfig {
 fn session_protocols_are_ff_invariant() {
     let cfg = small_cfg(7);
     assert_eq!(
-        run_random_session(&with_ff(cfg.clone(), true), 0),
-        run_random_session(&with_ff(cfg, false), 0),
+        run_random_session(&with_ff(cfg.clone(), true), 0).0,
+        run_random_session(&with_ff(cfg, false), 0).0,
         "random session diverged"
     );
     let cfg = SessionConfig {
@@ -44,13 +49,13 @@ fn session_protocols_are_ff_invariant() {
         ..small_cfg(8)
     };
     assert_eq!(
-        run_triggered_session(&with_ff(cfg.clone(), true), 1, 2),
-        run_triggered_session(&with_ff(cfg.clone(), false), 1, 2),
+        results(run_triggered_session(&with_ff(cfg.clone(), true), 1, 2)),
+        results(run_triggered_session(&with_ff(cfg.clone(), false), 1, 2)),
         "triggered session diverged"
     );
     assert_eq!(
-        run_transition_session(&with_ff(cfg.clone(), true), 2, 2),
-        run_transition_session(&with_ff(cfg, false), 2, 2),
+        results(run_transition_session(&with_ff(cfg.clone(), true), 2, 2)),
+        results(run_transition_session(&with_ff(cfg, false), 2, 2)),
         "transition session diverged"
     );
 }
@@ -77,8 +82,8 @@ proptest! {
             buffer_depth: 96,
             ..SessionConfig::paper(seed)
         };
-        let on = run_random_session(&with_ff(cfg.clone(), true), 0);
-        let off = run_random_session(&with_ff(cfg, false), 0);
+        let (on, _) = run_random_session(&with_ff(cfg.clone(), true), 0);
+        let (off, _) = run_random_session(&with_ff(cfg, false), 0);
         prop_assert_eq!(on, off);
     }
 
@@ -94,12 +99,12 @@ proptest! {
             ..SessionConfig::paper(seed)
         };
         prop_assert_eq!(
-            run_triggered_session(&with_ff(cfg.clone(), true), 0, 2),
-            run_triggered_session(&with_ff(cfg.clone(), false), 0, 2)
+            results(run_triggered_session(&with_ff(cfg.clone(), true), 0, 2)),
+            results(run_triggered_session(&with_ff(cfg.clone(), false), 0, 2))
         );
         prop_assert_eq!(
-            run_transition_session(&with_ff(cfg.clone(), true), 0, 1),
-            run_transition_session(&with_ff(cfg, false), 0, 1)
+            results(run_transition_session(&with_ff(cfg.clone(), true), 0, 1)),
+            results(run_transition_session(&with_ff(cfg, false), 0, 1))
         );
     }
 }

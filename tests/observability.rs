@@ -9,7 +9,7 @@
 //!   counters (CCB grant statistics, cache access counts) — the tracer
 //!   observes the machine, it does not keep a parallel version of it.
 
-use fx8_study::core::experiment::{run_random_session, run_random_session_observed};
+use fx8_study::core::experiment::run_random_session;
 use fx8_study::prelude::*;
 use proptest::prelude::*;
 use serde::Value;
@@ -54,7 +54,7 @@ fn chrome_trace_round_trips_and_spans_nest() {
         .build()
         .expect("mini study config validates");
     let ns_per_cycle = cfg.machine.ns_per_cycle;
-    let (_study, obs) = Study::run_observed(cfg);
+    let (_study, obs) = Study::run_cached(cfg, None);
     let json = obs.chrome_trace(ns_per_cycle);
 
     let doc: Value = serde_json::from_str(&json).expect("export is valid JSON");
@@ -129,7 +129,7 @@ fn chrome_trace_has_no_trailing_garbage() {
         .build()
         .unwrap();
     let ns = cfg.machine.ns_per_cycle;
-    let (_study, obs) = Study::run_observed(cfg);
+    let (_study, obs) = Study::run_cached(cfg, None);
     let json = obs.chrome_trace(ns);
     assert!(json.starts_with('{') && json.trim_end().ends_with("]}"));
     serde_json::from_str::<Value>(json.trim_end()).expect("whole file is one JSON value");
@@ -155,7 +155,7 @@ proptest! {
         cfg.machine = machine;
         cfg.validate().unwrap();
 
-        let (result, obs) = run_random_session_observed(&cfg, 0);
+        let (result, obs) = run_random_session(&cfg, 0);
         let m = &obs.metrics;
         prop_assert!(m.cycles.consistent(), "engine split must partition total");
         prop_assert!(m.cycles.total > 0, "the session stepped cycles");
@@ -179,7 +179,7 @@ proptest! {
         // Tracing never steers: a plain untraced run is bit-identical.
         let mut plain_cfg = cfg.clone();
         plain_cfg.machine.trace = TraceConfig::off();
-        let plain = run_random_session(&plain_cfg, 0);
+        let (plain, _) = run_random_session(&plain_cfg, 0);
         prop_assert_eq!(&result, &plain, "metrics must be a pure observer");
     }
 }

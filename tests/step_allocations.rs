@@ -5,29 +5,42 @@
 //! refill scratch buffers reaching their high-water capacity), stepping
 //! must perform zero allocations. The simulator is deterministic, so this
 //! is a stable property, not a flaky timing assertion.
+//!
+//! The counter and its on/off flag are thread-local: libtest runs these
+//! tests on parallel threads, and each test must count only the heap
+//! traffic of its own thread, never another test's `Cluster::new`.
 
 use fx8_sim::{Cluster, MachineConfig, TraceConfig};
 use fx8_workload::{kernels, WorkloadMix};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+// `const`-initialised and free of destructors, so touching them from
+// inside the allocator never allocates itself.
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Count one allocation if this thread is inside a counting window.
+/// `try_with` fails only while the thread is being torn down, when no
+/// window can be open.
+fn note_allocation() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -39,13 +52,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Count allocations performed by `f`.
+/// Count allocations performed by `f` on the calling thread.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCATIONS.set(0);
+    COUNTING.set(true);
     let r = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (ALLOCATIONS.load(Ordering::SeqCst), r)
+    COUNTING.set(false);
+    (ALLOCATIONS.get(), r)
 }
 
 fn cluster(seed: u64) -> Cluster {
