@@ -101,52 +101,64 @@ fn cluster_trajectory_bit_identical_under_contention() {
     assert_eq!(drive(true), drive(false));
 }
 
-/// Sweep every crossbar arbitration discipline under bank contention.
-/// The SWAR arbiter resolves winners through the same policy scan but
-/// defers denial accounting to a window-exit flush, so each discipline's
-/// rotor movement and counter totals must match the scalar per-cycle path
-/// exactly — and the denial path must actually fire, or the flush is
-/// untested.
+/// Sweep every crossbar arbitration discipline under bank contention, on
+/// the measured 8-CE machine and on the full-`LaneWord` 64-CE cluster.
+/// Both steppers share one lane action, one request table and one
+/// resolver, and each charges its own denials (the scalar stepper every
+/// cycle, the dense kernel from packed counts at its flush), so each
+/// discipline's rotor movement and counter totals must match exactly —
+/// and the denial path must actually fire, or the flush is untested.
 #[test]
 fn dense_stepping_identical_across_arbitration_disciplines() {
     use fx8_sim::config::Arbitration;
-    for arb in [
-        Arbitration::FixedLowFirst,
-        Arbitration::EndsFirst,
-        Arbitration::CenterFirst,
-        Arbitration::RoundRobin,
-    ] {
-        let drive = |dense: bool| {
-            let mut cfg = machine(dense);
-            cfg.crossbar_arbitration = arb;
-            // Slow banks + a tight loop body: many lanes collide on the
-            // same bank, so the deferred-denial flush carries real weight.
-            cfg.cache_hit_cycles = 6;
-            let mut c = Cluster::new(cfg, 21);
-            c.set_ip_intensity(0.12);
-            let body = Box::new(StridedLoop {
-                region: CodeRegion {
-                    base: VAddr::new(1, 0x1000),
-                    footprint_bytes: 256,
-                    bytes_per_instr: 4,
-                },
-                src: VAddr::new(1, 0x20_0000),
-                dst: VAddr::new(1, 0x30_0000),
-                elem: 8,
-                compute: 6,
-            });
-            c.mount_loop(body, 0, 20_000, serial_code(1), 1);
-            c.run(50_000);
-            (c.state_digest(), c.crossbar_stats().clone())
-        };
-        let (d_on, x_on) = drive(true);
-        let (d_off, x_off) = drive(false);
-        assert_eq!(d_on, d_off, "{arb:?}: dense stepping diverged the state");
-        assert_eq!(x_on, x_off, "{arb:?}: crossbar counters diverged");
-        assert!(
-            x_on.denials > 0,
-            "{arb:?}: contention run recorded no denials — flush untested"
-        );
+    for base in [MachineConfig::fx8(), MachineConfig::scaled(64)] {
+        let width = base.n_ces;
+        for arb in [
+            Arbitration::FixedLowFirst,
+            Arbitration::EndsFirst,
+            Arbitration::CenterFirst,
+            Arbitration::RoundRobin,
+        ] {
+            let drive = |dense: bool| {
+                let mut cfg = base.clone();
+                cfg.dense_stepping = dense;
+                cfg.crossbar_arbitration = arb;
+                // Slow banks + a tight loop body: many lanes collide on
+                // the same bank, so the deferred-denial flush carries real
+                // weight.
+                cfg.cache_hit_cycles = 6;
+                let mut c = Cluster::new(cfg, 21);
+                c.set_ip_intensity(0.12);
+                let body = Box::new(StridedLoop {
+                    region: CodeRegion {
+                        base: VAddr::new(1, 0x1000),
+                        footprint_bytes: 256,
+                        bytes_per_instr: 4,
+                    },
+                    src: VAddr::new(1, 0x20_0000),
+                    dst: VAddr::new(1, 0x30_0000),
+                    elem: 8,
+                    compute: 6,
+                });
+                c.mount_loop(body, 0, 20_000, serial_code(1), 1);
+                c.run(50_000);
+                (c.state_digest(), c.crossbar_stats().clone())
+            };
+            let (d_on, x_on) = drive(true);
+            let (d_off, x_off) = drive(false);
+            assert_eq!(
+                d_on, d_off,
+                "{arb:?} at width {width}: dense stepping diverged the state"
+            );
+            assert_eq!(
+                x_on, x_off,
+                "{arb:?} at width {width}: crossbar counters diverged"
+            );
+            assert!(
+                x_on.denials > 0,
+                "{arb:?} at width {width}: contention run recorded no denials — flush untested"
+            );
+        }
     }
 }
 

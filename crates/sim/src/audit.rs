@@ -109,8 +109,9 @@ mod active {
     use super::{AuditReport, Violation, MAX_RECORDED_VIOLATIONS};
     use crate::ce::{CeRole, CeState};
     use crate::cluster::Cluster;
+    use crate::crossbar::Requests;
     use crate::probe::ProbeWord;
-    use crate::Cycle;
+    use crate::{Cycle, LaneWord};
 
     /// Consecutive cycles a CE may be denied the crossbar while requesting
     /// before the auditor calls it starvation. Fixed-priority arbitration
@@ -187,14 +188,14 @@ mod active {
         }
 
         /// Check every per-cycle invariant. Called by `Cluster::step_cycle`
-        /// after probe assembly, with the cycle's crossbar requests and
-        /// grants still in hand.
+        /// after probe assembly, with the cycle's crossbar request table
+        /// and granted lanes (`won`) still in hand.
         pub(crate) fn check_cycle(
             &mut self,
             cl: &mut Cluster,
             word: &ProbeWord,
-            req_bank: &[Option<usize>],
-            granted: &[bool],
+            reqs: &Requests,
+            won: LaneWord,
         ) {
             let now = word.cycle;
             let n = cl.ces.len();
@@ -210,7 +211,7 @@ mod active {
             }
 
             // CCB activity lines agree with the CE roles.
-            let mut expect_mask: crate::LaneWord = 0;
+            let mut expect_mask: LaneWord = 0;
             for (id, ce) in cl.ces.iter().enumerate() {
                 if ce.is_ccb_active() {
                     expect_mask |= 1 << id;
@@ -226,13 +227,14 @@ mod active {
             }
 
             // Crossbar: grants within capacity.
-            if let Err(e) = cl.crossbar.audit_check(now, req_bank, granted) {
+            if let Err(e) = cl.crossbar.audit_check(now, reqs, won) {
                 self.push(now, "crossbar", "grants within capacity".into(), e);
             }
 
             // Bounded waits.
+            let denied = reqs.pending & !won;
             for id in 0..n {
-                if req_bank[id].is_some() && !granted[id] {
+                if denied >> id & 1 != 0 {
                     self.xbar_streak[id] += 1;
                     if self.xbar_streak[id] == XBAR_WAIT_BOUND {
                         self.push(

@@ -15,7 +15,7 @@
 //! transitions (leftover iterations keep landing on them).
 
 use crate::config::Arbitration;
-use crate::{CeId, Cycle};
+use crate::{CeId, Cycle, LaneWord};
 use serde::{Deserialize, Serialize};
 
 /// Response to an iteration request.
@@ -128,53 +128,33 @@ impl Ccb {
         self.state.and_then(|s| s.last_iter_ce)
     }
 
-    /// Arbitrate one cycle of iteration requests, materializing the grants
-    /// (tests, tools). The cluster's stepper uses [`Ccb::arbitrate_into`].
-    pub fn arbitrate(&mut self, now: Cycle, requesting: &[bool]) -> Vec<IterGrant> {
-        let mut out = vec![IterGrant::Wait; requesting.len()];
-        self.arbitrate_into(now, requesting, &mut out);
-        out
-    }
-
     /// Arbitrate one cycle of iteration requests into a caller-owned
-    /// buffer — the per-cycle path, free of heap allocation. `requesting[ce]`
-    /// is true if CE `ce` needs an iteration this cycle; every slot of `out`
-    /// is overwritten. At most one grant per `grant_cycles`; once iterations
-    /// run out every requester immediately learns `Exhausted`.
-    pub fn arbitrate_into(&mut self, now: Cycle, requesting: &[bool], out: &mut [IterGrant]) {
+    /// buffer — the per-cycle path, free of heap allocation. Bit `ce` of
+    /// `requesting` is set if CE `ce` needs an iteration this cycle (it is
+    /// in `AwaitIter`); every slot of `out` is overwritten. At most one
+    /// grant per `grant_cycles`; once iterations run out every requester
+    /// immediately learns `Exhausted`.
+    pub fn arbitrate_into(&mut self, now: Cycle, requesting: LaneWord, out: &mut [IterGrant]) {
         let n = self.stats.grants_by_ce.len();
-        debug_assert_eq!(requesting.len(), n);
         debug_assert_eq!(out.len(), n);
+        debug_assert_eq!(requesting & !crate::swar::lane_mask(n), 0);
         out.fill(IterGrant::Wait);
-        let Some(state) = &mut self.state else {
-            // No loop mounted: nothing to grant.
-            for (ce, &req) in requesting.iter().enumerate() {
-                if req {
-                    out[ce] = IterGrant::Exhausted;
-                }
-            }
-            return;
-        };
-
-        if state.next == state.total {
-            for (ce, &req) in requesting.iter().enumerate() {
-                if req {
-                    out[ce] = IterGrant::Exhausted;
-                }
+        // No loop mounted, or every iteration handed out: nothing to grant.
+        if self.state.is_none_or(|s| s.next == s.total) {
+            for ce in crate::swar::bits(requesting) {
+                out[ce] = IterGrant::Exhausted;
             }
             return;
         }
-
         if self.channel_free > now {
-            self.stats.grant_wait_cycles += requesting.iter().filter(|&&r| r).count() as u64;
+            self.stats.grant_wait_cycles += requesting.count_ones() as u64;
             return;
         }
-
         let winner = self
             .arb
             .order_iter(n, self.rotor)
-            .find(|&ce| requesting[ce]);
-        if let Some(w) = winner {
+            .find(|&ce| requesting & (1 << ce) != 0);
+        if let (Some(w), Some(state)) = (winner, &mut self.state) {
             let iter = state.next;
             state.next += 1;
             if state.next == state.total {
@@ -185,12 +165,7 @@ impl Ccb {
             self.rotor = w;
             self.channel_free = now + self.grant_cycles;
             // Losers wait for the channel.
-            let losers = requesting
-                .iter()
-                .enumerate()
-                .filter(|&(ce, &r)| r && ce != w)
-                .count();
-            self.stats.grant_wait_cycles += losers as u64;
+            self.stats.grant_wait_cycles += (requesting & !(1 << w)).count_ones() as u64;
         }
     }
 
@@ -263,8 +238,15 @@ impl Ccb {
 mod tests {
     use super::*;
 
-    fn all_requesting(n: usize) -> Vec<bool> {
-        vec![true; n]
+    fn all_requesting(n: usize) -> LaneWord {
+        crate::swar::lane_mask(n)
+    }
+
+    /// One cycle of arbitration with the grants materialized per CE.
+    fn arbitrate(ccb: &mut Ccb, now: Cycle, requesting: LaneWord) -> Vec<IterGrant> {
+        let mut out = vec![IterGrant::Wait; ccb.stats().grants_by_ce.len()];
+        ccb.arbitrate_into(now, requesting, &mut out);
+        out
     }
 
     #[test]
@@ -274,7 +256,7 @@ mod tests {
         let mut granted = Vec::new();
         let mut t = 0;
         while granted.len() < 3 {
-            for g in ccb.arbitrate(t, &all_requesting(2)) {
+            for g in arbitrate(&mut ccb, t, all_requesting(2)) {
                 if let IterGrant::Iter(i) = g {
                     granted.push(i);
                 }
@@ -282,7 +264,7 @@ mod tests {
             t += 1;
         }
         assert_eq!(granted, vec![0, 1, 2]);
-        let g = ccb.arbitrate(t, &all_requesting(2));
+        let g = arbitrate(&mut ccb, t, all_requesting(2));
         assert!(g.iter().all(|x| *x == IterGrant::Exhausted));
     }
 
@@ -290,7 +272,7 @@ mod tests {
     fn one_grant_per_grant_period() {
         let mut ccb = Ccb::new(4, Arbitration::FixedLowFirst, 2);
         ccb.start_loop(0, 100);
-        let g0 = ccb.arbitrate(0, &all_requesting(4));
+        let g0 = arbitrate(&mut ccb, 0, all_requesting(4));
         assert_eq!(
             g0.iter()
                 .filter(|g| matches!(g, IterGrant::Iter(_)))
@@ -298,9 +280,9 @@ mod tests {
             1
         );
         // Channel busy at cycle 1 (grant_cycles = 2).
-        let g1 = ccb.arbitrate(1, &all_requesting(4));
+        let g1 = arbitrate(&mut ccb, 1, all_requesting(4));
         assert!(g1.iter().all(|g| *g == IterGrant::Wait));
-        let g2 = ccb.arbitrate(2, &all_requesting(4));
+        let g2 = arbitrate(&mut ccb, 2, all_requesting(4));
         assert_eq!(
             g2.iter()
                 .filter(|g| matches!(g, IterGrant::Iter(_)))
@@ -313,12 +295,11 @@ mod tests {
     fn ends_first_gives_leftovers_to_ce0_and_ce7() {
         let mut ccb = Ccb::new(8, Arbitration::EndsFirst, 1);
         ccb.start_loop(0, 2); // two leftover iterations, everyone asks
-        let g0 = ccb.arbitrate(0, &all_requesting(8));
+        let g0 = arbitrate(&mut ccb, 0, all_requesting(8));
         assert_eq!(g0[0], IterGrant::Iter(0), "CE0 wins first leftover");
         // CE0 is now busy executing; the rest keep requesting.
-        let mut req = all_requesting(8);
-        req[0] = false;
-        let g1 = ccb.arbitrate(1, &req);
+        let req = all_requesting(8) & !1;
+        let g1 = arbitrate(&mut ccb, 1, req);
         assert_eq!(g1[7], IterGrant::Iter(1), "CE7 wins second leftover");
     }
 
@@ -327,8 +308,8 @@ mod tests {
         let mut ccb = Ccb::new(2, Arbitration::FixedLowFirst, 1);
         ccb.start_loop(0, 2);
         assert_eq!(ccb.serial_successor(), None);
-        ccb.arbitrate(0, &[true, false]); // CE0 takes iter 0
-        ccb.arbitrate(1, &[false, true]); // CE1 takes iter 1 (the last)
+        arbitrate(&mut ccb, 0, 0b01); // CE0 takes iter 0
+        arbitrate(&mut ccb, 1, 0b10); // CE1 takes iter 1 (the last)
         assert_eq!(ccb.serial_successor(), Some(1));
     }
 
@@ -338,8 +319,8 @@ mod tests {
         ccb.start_loop(10, 12); // 10 done at macro level, 2 to go
         assert!(!ccb.all_complete());
         assert_eq!(ccb.remaining(), 2);
-        ccb.arbitrate(0, &[true, false]);
-        ccb.arbitrate(1, &[false, true]);
+        arbitrate(&mut ccb, 0, 0b01);
+        arbitrate(&mut ccb, 1, 0b10);
         ccb.complete_iter();
         assert!(!ccb.all_complete());
         ccb.complete_iter();
@@ -363,7 +344,7 @@ mod tests {
     #[test]
     fn no_loop_means_immediate_exhausted() {
         let mut ccb = Ccb::new(2, Arbitration::FixedLowFirst, 1);
-        let g = ccb.arbitrate(0, &[true, true]);
+        let g = arbitrate(&mut ccb, 0, 0b11);
         assert!(g.iter().all(|x| *x == IterGrant::Exhausted));
         assert!(ccb.all_complete());
     }
@@ -376,14 +357,14 @@ mod tests {
         ccb.start_loop(0, 2);
         // Channel free: a grant would land this cycle.
         assert_eq!(ccb.grant_horizon(0), None);
-        ccb.arbitrate(0, &[true, false]);
+        arbitrate(&mut ccb, 0, 0b01);
         // Channel busy until cycle 4: nothing can change before then.
         assert_eq!(ccb.grant_horizon(1), Some(4));
         assert_eq!(ccb.grant_horizon(3), Some(4));
         assert_eq!(ccb.grant_horizon(4), None);
         // Last iteration handed out: Exhausted resolves immediately even
         // while the channel is still cooling down.
-        ccb.arbitrate(4, &[true, false]);
+        arbitrate(&mut ccb, 4, 0b01);
         assert_eq!(ccb.remaining(), 0);
         assert_eq!(ccb.grant_horizon(5), None);
     }
@@ -394,7 +375,7 @@ mod tests {
         ccb.start_loop(0, 6);
         let mut t = 0;
         while ccb.remaining() > 0 {
-            ccb.arbitrate(t, &all_requesting(3));
+            arbitrate(&mut ccb, t, all_requesting(3));
             t += 1;
         }
         let total: u64 = ccb.stats().grants_by_ce.iter().sum();

@@ -7,19 +7,19 @@
 //! capture in that cycle — the entire measurement methodology sits on top
 //! of this function.
 
-use crate::addr::KERNEL_ASID;
+use crate::addr::{LineId, KERNEL_ASID};
 use crate::ccb::{Ccb, IterGrant};
 use crate::ce::{Ce, CeRole, CeState};
 use crate::coherence::{BusTxn, CacheSystem};
 use crate::config::MachineConfig;
-use crate::crossbar::Crossbar;
+use crate::crossbar::{Crossbar, ReqKind, Requests};
 use crate::ip::IpSubsystem;
 use crate::membus::MemBusSystem;
 use crate::opcode::{CeBusOp, MemBusOp};
 use crate::probe::{ProbeWord, MAX_CES};
 use crate::stream::{LoopBody, Op, SerialCode};
 use crate::vm::{FaultMode, Vm};
-use crate::{Asid, CeId, Cycle, LaneWord};
+use crate::{swar, Asid, CeId, Cycle, LaneWord};
 
 /// What is mounted on the cluster.
 enum Load {
@@ -57,35 +57,106 @@ pub enum LoadKind {
     Drained,
 }
 
-/// A memory request a CE wants to issue this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReqKind {
-    Read,
-    Write,
-    IFetch,
-}
-
-impl ReqKind {
-    fn bus_op(self) -> CeBusOp {
-        match self {
-            ReqKind::Read => CeBusOp::Read,
-            ReqKind::Write => CeBusOp::Write,
-            ReqKind::IFetch => CeBusOp::IFetch,
-        }
-    }
-
-    fn is_write(self) -> bool {
-        matches!(self, ReqKind::Write)
-    }
-}
-
 /// Action to finish when a miss stall expires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ResumeAction {
     /// Install the fetched instruction line.
-    FillIFetch(crate::addr::LineId),
+    FillIFetch(LineId),
     /// Complete the current operand op.
     FinishOp,
+}
+
+/// What a Ready lane did in one cycle, as decided by
+/// [`Cluster::lane_act`]. Every effect on the CE, the CCB and the paging
+/// layer is already applied; the variant tells each stepper what to map
+/// onto its own per-cycle state.
+#[derive(Debug, Clone, Copy)]
+enum LaneAct {
+    /// Wants the crossbar for `line` this cycle. `retry` marks a request
+    /// whose issue changed nothing (a pending instruction fetch, or an
+    /// operand already fetched and paged in): only the arbitration
+    /// outcome moves the machine.
+    Request {
+        line: LineId,
+        kind: ReqKind,
+        retry: bool,
+    },
+    /// Retired one compute instruction. `burst` marks the continuation of
+    /// a burst, which moved nothing but the fetch cursor and the counters.
+    Retired { burst: bool },
+    /// Finished its iteration; now in `AwaitIter`.
+    IterDone,
+    /// Page-faulted; `FaultStalled` until the given cycle.
+    Faulted(Cycle),
+    /// Blocked on the sync register; `AwaitSync` for the given target.
+    Parked(u64),
+    /// Advanced the sync register.
+    Posted,
+    /// Anything else: passed a sync check, or found nothing to run.
+    Other,
+}
+
+impl LaneAct {
+    /// Whether the act changed nothing a later cycle could observe except
+    /// the lane's own fetch cursor and counters: a pure retry or a burst
+    /// continuation. A dense cycle of only pure acts and no grant is
+    /// quiescent.
+    fn is_pure(self) -> bool {
+        matches!(
+            self,
+            LaneAct::Request { retry: true, .. } | LaneAct::Retired { burst: true }
+        )
+    }
+}
+
+/// Per-lane bus-busy and crossbar-denial counts of one dense window, held
+/// as SWAR packed byte lanes, one word per 8-lane group. Both counts move
+/// by +1 per masked lane per cycle, so a cycle's charge is one masked add
+/// per group ([`crate::swar::packed_add`]).
+struct PackedCounts {
+    busy: [u64; swar::lane_groups(MAX_CES)],
+    denied: [u64; swar::lane_groups(MAX_CES)],
+    groups: usize,
+    /// Cycles that can still be added before a byte lane could saturate.
+    budget: u64,
+}
+
+impl PackedCounts {
+    fn new(n_ces: usize) -> Self {
+        PackedCounts {
+            busy: [0; swar::lane_groups(MAX_CES)],
+            denied: [0; swar::lane_groups(MAX_CES)],
+            groups: swar::lane_groups(n_ces),
+            budget: swar::PACKED_MAX,
+        }
+    }
+
+    /// Charge one arbitration cycle: every lane in `pending` occupied its
+    /// CE bus, and the lanes in `denied` also lost. The caller flushes
+    /// first when `budget` is 0.
+    #[inline]
+    fn add(&mut self, pending: LaneWord, denied: LaneWord) {
+        debug_assert!(self.budget > 0);
+        self.budget -= 1;
+        for g in 0..self.groups {
+            self.busy[g] = swar::packed_add(self.busy[g], swar::group_mask(pending, g), 1);
+            self.denied[g] = swar::packed_add(self.denied[g], swar::group_mask(denied, g), 1);
+        }
+    }
+
+    /// Move the counts into the CEs' bus-busy counters and the crossbar's
+    /// denial counters, and start over.
+    fn flush(&mut self, ces: &mut [Ce], crossbar: &mut Crossbar) {
+        for (id, ce) in ces.iter_mut().enumerate() {
+            let (g, l) = (id / swar::PACKED_LANES, id % swar::PACKED_LANES);
+            ce.stats.bus_busy_cycles += swar::packed_lane(self.busy[g], l);
+            let denied = swar::packed_lane(self.denied[g], l);
+            if denied > 0 {
+                crossbar.note_denied_retries(id, denied);
+            }
+        }
+        *self = PackedCounts::new(ces.len());
+    }
 }
 
 /// Everything a quiescent window's bulk application needs, computed by
@@ -120,11 +191,6 @@ impl SkipPlan {
         }
     }
 }
-
-/// Widest cache-bank geometry the dense stepper's fixed-size per-bank
-/// requester masks cover; wider (unvalidated, test-only) geometries fall
-/// back to the scalar stepper.
-const DENSE_MAX_BANKS: usize = 16;
 
 /// How the next stretch of cycles should be advanced, as decided by
 /// [`Cluster::step_verdict`]: a provably-quiescent window applied in
@@ -514,46 +580,32 @@ impl Cluster {
         }
     }
 
-    /// Refill CE `ce`'s op queue from its mounted stream. Returns false if
+    /// Refill CE `id`'s op queue from its mounted stream. Returns false if
     /// there is nothing to execute (worker finished its iteration, or no
     /// stream mounted).
-    fn refill_ops(&mut self, ce: CeId) -> bool {
+    fn refill_ops(&mut self, id: CeId) -> bool {
         const REFILL_ATTEMPTS: usize = 4;
-        let id = ce;
         // Only ever called with a drained queue, so the generators append
         // straight into the queue's backing storage — no staging copy.
         debug_assert!(self.ces[id].ops.is_empty());
-        match self.ces[id].role {
-            CeRole::Worker => false, // iteration boundary handled by caller
-            CeRole::ClusterSerial => {
-                for _ in 0..REFILL_ATTEMPTS {
-                    match &mut self.load {
-                        Load::Serial { code, .. } | Load::Drained { code, .. } => {
-                            code.gen_block(id, self.ces[id].ops.append_buf());
-                        }
-                        _ => return false,
-                    }
-                    if !self.ces[id].ops.is_empty() {
-                        return true;
-                    }
+        for _ in 0..REFILL_ATTEMPTS {
+            let code = match (self.ces[id].role, &mut self.load) {
+                (CeRole::ClusterSerial, Load::Serial { code, .. } | Load::Drained { code, .. }) => {
+                    code
                 }
-                false
+                (CeRole::Detached, _) => match &mut self.detached[id] {
+                    Some((code, _)) => code,
+                    None => return false,
+                },
+                // Workers end their iteration in the caller instead.
+                _ => return false,
+            };
+            code.gen_block(id, self.ces[id].ops.append_buf());
+            if !self.ces[id].ops.is_empty() {
+                return true;
             }
-            CeRole::Detached => {
-                for _ in 0..REFILL_ATTEMPTS {
-                    if let Some((code, _)) = &mut self.detached[id] {
-                        code.gen_block(id, self.ces[id].ops.append_buf());
-                    } else {
-                        return false;
-                    }
-                    if !self.ces[id].ops.is_empty() {
-                        return true;
-                    }
-                }
-                false
-            }
-            CeRole::Inactive => false,
         }
+        false
     }
 
     /// The address space of the cluster program currently mounted, or the
@@ -684,7 +736,8 @@ impl Cluster {
     /// already happened (`op_fetched && vm_checked`): re-dispatching such
     /// an op recomputes the same line from the same operand every cycle
     /// until granted. Anything else (first dispatch, paging touch, burst)
-    /// either mutates state on dispatch or makes no request at all.
+    /// either mutates state on dispatch or makes no request at all. These
+    /// are exactly the requests [`Cluster::lane_act`] marks as `retry`.
     fn pure_retry_line(&self, id: CeId) -> Option<crate::addr::LineId> {
         let ce = &self.ces[id];
         if ce.state != CeState::Ready {
@@ -873,24 +926,15 @@ impl Cluster {
         if plan.iter_requesters > 0 {
             self.ccb.note_grant_waits(k * plan.iter_requesters);
         }
-        let mut retry = plan.retry_mask;
-        while retry != 0 {
-            let id = retry.trailing_zeros() as usize;
-            retry &= retry - 1;
+        for id in swar::bits(plan.retry_mask) {
             // The denied request occupies the CE bus every cycle.
             self.ces[id].stats.bus_busy_cycles += k;
             self.crossbar.note_denied_retries(id, k);
         }
-        let mut burst = plan.burst_mask;
-        while burst != 0 {
-            let id = burst.trailing_zeros() as usize;
-            burst &= burst - 1;
+        for id in swar::bits(plan.burst_mask) {
             self.ces[id].advance_compute_burst(k);
         }
-        let mut active = plan.active_mask;
-        while active != 0 {
-            let id = active.trailing_zeros() as usize;
-            active &= active - 1;
+        for id in swar::bits(plan.active_mask) {
             self.ces[id].stats.active_cycles += k;
         }
         let from = self.now;
@@ -924,10 +968,6 @@ impl Cluster {
         if !matches!(self.load, Load::Loop { .. }) {
             return false;
         }
-        // The kernel's bank-conflict masks are fixed-width.
-        if self.cfg.cache.banks > DENSE_MAX_BANKS {
-            return false;
-        }
         self.ces.iter().all(|ce| match ce.role {
             CeRole::Worker => true,
             // An unmounted lane is eligible only when provably inert: it
@@ -950,20 +990,22 @@ impl Cluster {
     /// discarded). Returns how many cycles were advanced; 0 means the very
     /// next cycle is a CCB-resolution cycle the scalar stepper must run.
     ///
-    /// Where the scalar stepper re-derives every CE's situation from its
-    /// state enum each cycle, this kernel packs the lane structure once at
-    /// window entry — ready/await-iter/await-sync/stalled/fault lanes as
-    /// [`LaneWord`] bitmasks, wake stamps and sync targets in fixed
-    /// per-lane arrays — and then advances the masks as whole-word boolean
-    /// algebra, spending per-lane scalar work only on the cycles where a
-    /// lane *acts* (dispatches an op, wakes from a stall, crosses an
-    /// icache line, parks or posts a sync):
+    /// Both steppers apply the same per-lane effects through the same
+    /// helpers ([`Cluster::lane_act`], [`Cluster::wake`],
+    /// [`Cluster::grant`]) and resolve the crossbar through the same
+    /// request table and resolver ([`Crossbar::arbitrate_masks_swar`]).
+    /// They differ only in which lanes they visit. Where the scalar stepper
+    /// re-derives every CE's situation from its state enum each cycle, this
+    /// kernel packs the lane structure once at window entry —
+    /// ready/await-iter/await-sync/stalled lanes as [`LaneWord`] bitmasks,
+    /// wake stamps and sync targets in fixed per-lane arrays — and then
+    /// advances the masks as whole-word boolean algebra, visiting a lane
+    /// only on the cycles where it *acts* (dispatches an op, wakes from a
+    /// stall, crosses an icache line, parks or posts a sync):
     ///
     /// * a lane whose crossbar request was denied is not revisited: the
-    ///   request (line, kind, bank) is invariant until granted, so the
-    ///   lane sits in a persistent `pending` word and a persistent
-    ///   bank×word requester table that [`Crossbar::arbitrate_masks_swar`]
-    ///   resolves by scanning only occupied banks;
+    ///   request (line, kind, bank) is invariant until granted, so it stays
+    ///   in the window's request table until the resolver grants it;
     /// * a lane retiring a compute burst inside its probed icache line is
     ///   not revisited: its pure-retirement segment is bounded by
     ///   [`Ce::compute_burst_horizon`] and applied in closed form at the
@@ -976,14 +1018,13 @@ impl Cluster {
     /// * per-cycle classification — who issues, who is denied, who waits —
     ///   is mask expressions (`pending & !won`, popcounts), not branches.
     ///
-    /// Per-lane counters that move by +1 per masked lane per cycle
-    /// (bus-busy occupancy, crossbar denials) accumulate via SWAR masked
-    /// adds ([`crate::swar::packed_add`]) into packed byte-lane words,
-    /// flushed into the real `u64` counters at window exit or before any
-    /// byte lane could saturate. The membus start-ring gc is deferred to
-    /// the window end (legal per the deferred-gc membus proof), and the
-    /// denial counters flush through [`Crossbar::note_denied_retries`] —
-    /// the same closed-form movement the fast-forward engine uses.
+    /// Bus-busy occupancy and crossbar denials move by +1 per masked lane
+    /// per cycle, so they accumulate as SWAR packed byte lanes
+    /// ([`PackedCounts`]) and are flushed into the real counters — denials
+    /// through [`Crossbar::note_denied_retries`], the same closed-form
+    /// movement the fast-forward engine uses — at window exit or before
+    /// any byte lane could saturate. The membus start-ring gc is deferred
+    /// to the window end (legal per the deferred-gc membus proof).
     ///
     /// The window ends at `limit`, at the armed-probe deadline, or at the
     /// first cycle where the CCB would resolve an iteration request (grant
@@ -1002,15 +1043,14 @@ impl Cluster {
         let n = self.ces.len();
         debug_assert!(n <= MAX_CES);
 
-        // --- Pack the lane structure.
+        // --- Pack the lane structure. Miss and fault stalls share one
+        // mask: `wake` tells them apart.
         let mut ready_mask: LaneWord = 0;
         let mut iter_mask: LaneWord = 0;
         let mut sync_mask: LaneWord = 0;
         let mut stall_mask: LaneWord = 0;
-        let mut fault_mask: LaneWord = 0;
         let mut active_lanes: LaneWord = 0;
         let mut until_arr = [0u64; MAX_CES];
-        let mut stall_resume = [CeBusOp::Idle; MAX_CES];
         let mut sync_target_arr = [0u64; MAX_CES];
         let mut next_wake = u64::MAX;
         for (id, ce) in self.ces.iter().enumerate() {
@@ -1029,31 +1069,18 @@ impl Cluster {
                 // A worker only parks in AwaitJoin on a CCB-resolution
                 // cycle, which the scalar stepper owns.
                 CeState::AwaitJoin => return 0,
-                CeState::Stalled { until, resume_op } => {
+                CeState::Stalled { until, .. } | CeState::FaultStalled { until } => {
                     stall_mask |= bit;
-                    until_arr[id] = until;
-                    stall_resume[id] = resume_op;
-                    next_wake = next_wake.min(until);
-                }
-                CeState::FaultStalled { until } => {
-                    fault_mask |= bit;
                     until_arr[id] = until;
                     next_wake = next_wake.min(until);
                 }
             }
         }
 
-        // --- Persistent request state. A lane that has materialized a
-        // crossbar request keeps it — line, kind, and bank are invariant
-        // across denials — so denied lanes are never revisited; they live
-        // in `pending_mask` and in the bank×word requester table that
-        // `arbitrate_masks_swar` scans via the `occupied` bank bitmask.
-        let mut pending_mask: LaneWord = 0;
-        let mut bank_req: [LaneWord; DENSE_MAX_BANKS] = [0; DENSE_MAX_BANKS];
-        let mut occupied = 0u32;
-        let mut req_line = [crate::addr::LineId(0); MAX_CES];
-        let mut req_kind = [ReqKind::Read; MAX_CES];
-        let mut req_bank = [0usize; MAX_CES];
+        // --- The window's request table. A lane that has materialized a
+        // crossbar request keeps it until granted, so denied lanes are
+        // never revisited.
+        let mut reqs = Requests::new();
 
         // --- Pure compute-burst segments. A lane retiring inside its
         // probed icache line is inert (one retirement per cycle, no shared
@@ -1063,25 +1090,13 @@ impl Cluster {
         let mut burst_mask: LaneWord = 0;
         let mut burst_from = [0u64; MAX_CES];
 
-        // --- Per-window accumulators, flushed once at exit. Bus-busy
-        // occupancy and crossbar denials move by +1 per masked lane per
-        // cycle, so they accumulate as SWAR packed byte lanes; the rest
-        // see at most a handful of scalar adds per cycle.
-        let mut instrs_acc = [0u64; MAX_CES];
-        let mut busbusy_acc = [0u64; MAX_CES];
-        let mut deny_acc = [0u64; MAX_CES];
-        // One packed word per 8-lane group: the measured 8-CE machine pays
-        // for exactly one word; a 64-CE cluster carries eight.
-        let pk_groups = crate::swar::lane_groups(n);
-        let mut busbusy_pk = [0u64; crate::swar::lane_groups(MAX_CES)];
-        let mut deny_pk = [0u64; crate::swar::lane_groups(MAX_CES)];
-        let mut pk_budget = crate::swar::PACKED_MAX;
+        // --- Per-window accumulators, flushed once at exit.
+        let mut packed = PackedCounts::new(n);
         let mut sync_wait_acc = 0u64;
         let mut grant_wait_acc = 0u64;
         // Sync waiters re-check the register only when it can have moved:
         // at window entry and on cycles adjacent to a PostSync.
         let mut sync_dirty = sync_mask != 0;
-        let line_bytes = self.cfg.cache.line_bytes;
         let hit_cycles = self.cfg.cache_hit_cycles;
         let mut done = 0u64;
 
@@ -1103,16 +1118,13 @@ impl Cluster {
                 grant_wait_acc += iter_mask.count_ones() as u64;
             }
 
-            // Which stalled/fault lanes wake this cycle; burst segments
-            // ending now materialize their retirements and rejoin the
-            // per-lane pass as ordinary Ready lanes.
+            // Which stalled lanes wake this cycle; burst segments ending
+            // now materialize their retirements and rejoin the per-lane
+            // pass as ordinary Ready lanes.
             let mut due: LaneWord = 0;
             if now >= next_wake {
                 next_wake = u64::MAX;
-                let mut m = stall_mask | fault_mask | burst_mask;
-                while m != 0 {
-                    let id = m.trailing_zeros() as usize;
-                    m &= m - 1;
+                for id in swar::bits(stall_mask | burst_mask) {
                     if until_arr[id] <= now {
                         let bit: LaneWord = 1 << id;
                         if burst_mask & bit != 0 {
@@ -1142,7 +1154,7 @@ impl Cluster {
             let sync_check: LaneWord = if sync_dirty { sync_mask } else { 0 };
             sync_dirty = false;
             let mut sync_handled: LaneWord = 0;
-            let mut visit = (ready_mask & !pending_mask & !burst_mask) | due | sync_check;
+            let mut visit = (ready_mask & !reqs.pending & !burst_mask) | due | sync_check;
             while visit != 0 {
                 let id = visit.trailing_zeros() as usize;
                 visit &= visit - 1;
@@ -1150,27 +1162,10 @@ impl Cluster {
 
                 if due & bit != 0 {
                     impure = true;
-                    if stall_mask & bit != 0 {
-                        // Completion handshake cycle.
-                        if stall_resume[id].is_busy() {
-                            busbusy_acc[id] += 1;
-                        }
-                        match self.resume_actions[id].take() {
-                            Some(ResumeAction::FillIFetch(line)) => {
-                                self.ces[id].ifetch_fill(line);
-                            }
-                            Some(ResumeAction::FinishOp) => {
-                                self.ces[id].cur_op = None;
-                                instrs_acc[id] += 1;
-                                self.reset_op_flags(id);
-                            }
-                            None => {}
-                        }
-                        stall_mask &= !bit;
-                    } else {
-                        fault_mask &= !bit;
+                    if self.wake(id).is_busy() {
+                        self.ces[id].stats.bus_busy_cycles += 1;
                     }
-                    self.ces[id].state = CeState::Ready;
+                    stall_mask &= !bit;
                     ready_mask |= bit;
                     continue;
                 }
@@ -1188,37 +1183,13 @@ impl Cluster {
                     continue;
                 }
 
-                // Ready lane. Pending instruction fetch first (window
-                // entry, or re-entry after a stall fill).
-                if let Some(line) = self.ces[id].pending_ifetch {
-                    let b = self.caches.bank_of(line);
-                    pending_mask |= bit;
-                    req_line[id] = line;
-                    req_kind[id] = ReqKind::IFetch;
-                    req_bank[id] = b;
-                    bank_req[b] |= bit;
-                    occupied |= 1 << b;
-                    continue;
-                }
-
-                // Continue a compute burst: one instruction per cycle.
-                // Reached only at segment boundaries (window entry, line
-                // crossing, post-fill) — pure in-line retirement parks the
-                // lane in `burst_mask` below.
-                if self.ces[id].compute_left > 0 {
-                    if let Some(line) = self.ces[id].ifetch_step() {
-                        impure = true;
-                        self.ces[id].pending_ifetch = Some(line);
-                        let b = self.caches.bank_of(line);
-                        pending_mask |= bit;
-                        req_line[id] = line;
-                        req_kind[id] = ReqKind::IFetch;
-                        req_bank[id] = b;
-                        bank_req[b] |= bit;
-                        occupied |= 1 << b;
-                    } else {
-                        self.ces[id].compute_left -= 1;
-                        instrs_acc[id] += 1;
+                let act = self.lane_act(id, now);
+                impure |= !act.is_pure();
+                match act {
+                    LaneAct::Request { line, kind, .. } => {
+                        reqs.insert(id, line, kind, self.caches.bank_of(line));
+                    }
+                    LaneAct::Retired { .. } => {
                         let h = self.ces[id].compute_burst_horizon();
                         if h > 0 {
                             burst_mask |= bit;
@@ -1227,131 +1198,24 @@ impl Cluster {
                             next_wake = next_wake.min(until_arr[id]);
                         }
                     }
-                    continue;
-                }
-
-                // Need a current op.
-                if self.ces[id].cur_op.is_none() {
-                    impure = true;
-                    if let Some(op) = self.ces[id].ops.pop_front() {
-                        self.ces[id].cur_op = Some(op);
-                        self.reset_op_flags(id);
-                    } else {
-                        // Worker iteration boundary: request the next one.
-                        // (Inactive lanes never enter the masks.)
-                        self.ccb.complete_iter();
-                        self.ces[id].stats.iters_completed += 1;
-                        self.ces[id].state = CeState::AwaitIter;
-                        if let Some(tr) = self.tracer.as_deref_mut() {
-                            tr.iter_wait_since[id] = now;
-                        }
+                    LaneAct::IterDone => {
                         ready_mask &= !bit;
                         iter_mask |= bit;
-                        continue;
                     }
-                }
-
-                let Some(op) = self.ces[id].cur_op else {
-                    continue;
-                };
-                match op {
-                    Op::Compute(c) => {
-                        impure = true;
-                        if let Some(line) = self.ces[id].ifetch_step() {
-                            self.ces[id].pending_ifetch = Some(line);
-                            let b = self.caches.bank_of(line);
-                            pending_mask |= bit;
-                            req_line[id] = line;
-                            req_kind[id] = ReqKind::IFetch;
-                            req_bank[id] = b;
-                            bank_req[b] |= bit;
-                            occupied |= 1 << b;
-                            continue;
-                        }
-                        instrs_acc[id] += 1;
-                        self.ces[id].compute_left = c.saturating_sub(1);
-                        self.ces[id].cur_op = None;
-                        let h = self.ces[id].compute_burst_horizon();
-                        if h > 0 {
-                            burst_mask |= bit;
-                            burst_from[id] = now + 1;
-                            until_arr[id] = now + 1 + h;
-                            next_wake = next_wake.min(until_arr[id]);
-                        }
+                    LaneAct::Faulted(until) => {
+                        ready_mask &= !bit;
+                        stall_mask |= bit;
+                        until_arr[id] = until;
+                        next_wake = next_wake.min(until);
                     }
-                    Op::Load(a) | Op::Store(a) => {
-                        let kind = if matches!(op, Op::Store(_)) {
-                            ReqKind::Write
-                        } else {
-                            ReqKind::Read
-                        };
-                        if self.op_fetched & bit == 0 {
-                            impure = true;
-                            self.op_fetched |= bit;
-                            if let Some(line) = self.ces[id].ifetch_step() {
-                                self.ces[id].pending_ifetch = Some(line);
-                                let b = self.caches.bank_of(line);
-                                pending_mask |= bit;
-                                req_line[id] = line;
-                                req_kind[id] = ReqKind::IFetch;
-                                req_bank[id] = b;
-                                bank_req[b] |= bit;
-                                occupied |= 1 << b;
-                                continue;
-                            }
-                        }
-                        if self.vm_checked & bit == 0 {
-                            impure = true;
-                            self.vm_checked |= bit;
-                            let mode = if a.asid() == KERNEL_ASID {
-                                FaultMode::System
-                            } else {
-                                FaultMode::User
-                            };
-                            if !self.vm.touch(id, a.page(), mode) {
-                                self.fault_seq += 1;
-                                if self.fault_seq.is_multiple_of(4) {
-                                    self.vm.charge_faults(id, 0, 1);
-                                }
-                                let until = now + self.cfg.fault_stall_cycles;
-                                self.ces[id].state = CeState::FaultStalled { until };
-                                self.ces[id].stats.fault_stall_cycles +=
-                                    self.cfg.fault_stall_cycles;
-                                ready_mask &= !bit;
-                                fault_mask |= bit;
-                                until_arr[id] = until;
-                                next_wake = next_wake.min(until);
-                                continue;
-                            }
-                        }
-                        let line = a.line(line_bytes);
-                        let b = self.caches.bank_of(line);
-                        pending_mask |= bit;
-                        req_line[id] = line;
-                        req_kind[id] = kind;
-                        req_bank[id] = b;
-                        bank_req[b] |= bit;
-                        occupied |= 1 << b;
+                    LaneAct::Parked(target) => {
+                        ready_mask &= !bit;
+                        sync_mask |= bit;
+                        sync_target_arr[id] = target;
+                        // No wait accrues on the parking cycle.
+                        sync_handled |= bit;
                     }
-                    Op::AwaitSync(t) => {
-                        impure = true;
-                        self.ces[id].cur_op = None;
-                        if self.ccb.sync_reached(t) {
-                            // Proceeds next cycle; the check costs this one.
-                        } else {
-                            self.ces[id].state = CeState::AwaitSync { target: t };
-                            ready_mask &= !bit;
-                            sync_mask |= bit;
-                            sync_target_arr[id] = t;
-                            // No wait accrues on the parking cycle.
-                            sync_handled |= bit;
-                        }
-                    }
-                    Op::PostSync(v) => {
-                        impure = true;
-                        self.ccb.post_sync(v);
-                        instrs_acc[id] += 1;
-                        self.ces[id].cur_op = None;
+                    LaneAct::Posted => {
                         // Scalar same-cycle visibility: parked lanes with a
                         // *higher* id see the new value this cycle (they
                         // come later in the per-CE order); lower ids were
@@ -1359,6 +1223,7 @@ impl Cluster {
                         visit |= sync_mask & !((bit << 1) - 1);
                         sync_dirty = true;
                     }
+                    LaneAct::Other => {}
                 }
             }
 
@@ -1367,98 +1232,31 @@ impl Cluster {
             // accrue their wait in one popcount.
             sync_wait_acc += (sync_mask & !sync_handled).count_ones() as u64;
 
-            // --- Crossbar arbitration over the persistent bank table and
-            // cache access for the winners, mask-native.
+            // --- Crossbar arbitration over the window's request table and
+            // cache access for the winners.
             let mut won: LaneWord = 0;
-            if pending_mask != 0 {
-                won = self
-                    .crossbar
-                    .arbitrate_masks_swar(now, &bank_req, occupied, hit_cycles);
+            if reqs.pending != 0 {
+                won = self.crossbar.arbitrate_masks_swar(
+                    now,
+                    &reqs.by_bank,
+                    reqs.occupied,
+                    hit_cycles,
+                );
                 // Every requester occupies its CE bus this cycle, granted
-                // or not; the denied set is exactly `pending & !won`. Both
-                // accrue as SWAR masked adds, flushed before any packed
-                // byte lane could saturate.
-                if pk_budget == 0 {
-                    for id in 0..n {
-                        let (g, l) = (
-                            id / crate::swar::PACKED_LANES,
-                            id % crate::swar::PACKED_LANES,
-                        );
-                        busbusy_acc[id] += crate::swar::packed_lane(busbusy_pk[g], l);
-                        deny_acc[id] += crate::swar::packed_lane(deny_pk[g], l);
-                    }
-                    busbusy_pk = [0; crate::swar::lane_groups(MAX_CES)];
-                    deny_pk = [0; crate::swar::lane_groups(MAX_CES)];
-                    pk_budget = crate::swar::PACKED_MAX;
+                // or not; the denied set is exactly `pending & !won`.
+                if packed.budget == 0 {
+                    packed.flush(&mut self.ces, &mut self.crossbar);
                 }
-                pk_budget -= 1;
-                let denied_mask = pending_mask & !won;
-                for g in 0..pk_groups {
-                    busbusy_pk[g] = crate::swar::packed_add(
-                        busbusy_pk[g],
-                        crate::swar::group_mask(pending_mask, g),
-                        1,
-                    );
-                    deny_pk[g] = crate::swar::packed_add(
-                        deny_pk[g],
-                        crate::swar::group_mask(denied_mask, g),
-                        1,
-                    );
-                }
+                packed.add(reqs.pending, reqs.pending & !won);
 
-                let mut m = won;
-                while m != 0 {
-                    let id = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let bit: LaneWord = 1 << id;
-                    // The grant consumes the request: retire it from the
-                    // persistent table.
-                    pending_mask &= !bit;
-                    let b = req_bank[id];
-                    bank_req[b] &= !bit;
-                    if bank_req[b] == 0 {
-                        occupied &= !(1u32 << b);
-                    }
-                    let line = req_line[id];
-                    let kind = req_kind[id];
-                    let outcome = self.caches.ce_access(line, kind.is_write());
-                    let mut fetch_complete: Option<Cycle> = None;
-                    for txn in &outcome.bus {
-                        let op = match txn {
-                            BusTxn::Fetch => MemBusOp::Fetch,
-                            BusTxn::WriteBack => MemBusOp::WriteBack,
-                            BusTxn::Coherence => MemBusOp::Coherence,
-                            BusTxn::IpFetch => MemBusOp::IpTraffic,
-                        };
-                        let ticket = self.membus.schedule(now, op, line);
-                        if *txn == BusTxn::Fetch {
-                            fetch_complete = Some(ticket.complete);
-                        }
-                    }
-                    if outcome.hit {
-                        match kind {
-                            ReqKind::IFetch => self.ces[id].ifetch_fill(line),
-                            ReqKind::Read | ReqKind::Write => {
-                                self.ces[id].cur_op = None;
-                                instrs_acc[id] += 1;
-                                self.reset_op_flags(id);
-                            }
-                        }
-                    } else {
-                        let until = fetch_complete.unwrap_or(now + self.cfg.mem_latency_cycles);
-                        self.ces[id].stats.miss_stall_cycles += until.saturating_sub(now);
-                        self.ces[id].state = CeState::Stalled {
-                            until,
-                            resume_op: CeBusOp::MissWait,
-                        };
-                        self.resume_actions[id] = Some(match kind {
-                            ReqKind::IFetch => ResumeAction::FillIFetch(line),
-                            ReqKind::Read | ReqKind::Write => ResumeAction::FinishOp,
-                        });
+                for id in swar::bits(won) {
+                    // The grant consumes the request.
+                    let (line, kind) = reqs.remove(id);
+                    if let Some(until) = self.grant(id, line, kind, now) {
+                        let bit: LaneWord = 1 << id;
                         ready_mask &= !bit;
                         stall_mask |= bit;
                         until_arr[id] = until;
-                        stall_resume[id] = CeBusOp::MissWait;
                         next_wake = next_wake.min(until);
                     }
                 }
@@ -1483,10 +1281,7 @@ impl Cluster {
         // --- Window-exit flush: the per-cycle effects accrued in closed
         // form. The start-ring gc is deferred to the window end (the same
         // legality argument as `advance_bulk`'s).
-        let mut m = burst_mask;
-        while m != 0 {
-            let id = m.trailing_zeros() as usize;
-            m &= m - 1;
+        for id in swar::bits(burst_mask) {
             // Open burst segments: `now` is the first unexecuted cycle, so
             // `now - from` retirements happened (capped by the horizon
             // that armed the segment).
@@ -1499,23 +1294,8 @@ impl Cluster {
         if grant_wait_acc > 0 {
             self.ccb.note_grant_waits(grant_wait_acc);
         }
-        for id in 0..n {
-            let stats = &mut self.ces[id].stats;
-            stats.instrs += instrs_acc[id];
-            let (g, l) = (
-                id / crate::swar::PACKED_LANES,
-                id % crate::swar::PACKED_LANES,
-            );
-            stats.bus_busy_cycles += busbusy_acc[id] + crate::swar::packed_lane(busbusy_pk[g], l);
-            let denied = deny_acc[id] + crate::swar::packed_lane(deny_pk[g], l);
-            if denied > 0 {
-                self.crossbar.note_denied_retries(id, denied);
-            }
-        }
-        let mut m = active_lanes;
-        while m != 0 {
-            let id = m.trailing_zeros() as usize;
-            m &= m - 1;
+        packed.flush(&mut self.ces, &mut self.crossbar);
+        for id in swar::bits(active_lanes) {
             // Roles only change on the scalar CCB-resolution cycles, so
             // every worker was CCB-active for the whole window.
             self.ces[id].stats.active_cycles += done;
@@ -1572,6 +1352,220 @@ impl Cluster {
         s
     }
 
+    /// The one Ready-lane decision both steppers share: advance Ready CE
+    /// `id` by one cycle at `now`, apply every effect on the CE, the CCB
+    /// and the paging layer, and report what it did so each stepper can
+    /// map the result onto its own state. In order: a pending instruction
+    /// fetch, the next instruction of a compute burst, the next op (at an
+    /// empty queue a worker ends its iteration and a serial or detached CE
+    /// refills from its stream), then the op itself.
+    ///
+    /// Forced inline (as is [`Cluster::grant`]): each stepper gets its own
+    /// copy of the one definition, and an out-of-line call per visited lane
+    /// cost the dense loop kernel about 15% of its cycle rate.
+    #[inline(always)]
+    fn lane_act(&mut self, id: CeId, now: Cycle) -> LaneAct {
+        let bit: LaneWord = 1 << id;
+        // Pending instruction fetch takes priority over everything.
+        if let Some(line) = self.ces[id].pending_ifetch {
+            return LaneAct::Request {
+                line,
+                kind: ReqKind::IFetch,
+                retry: true,
+            };
+        }
+
+        // Continue a compute burst: one instruction per cycle.
+        if self.ces[id].compute_left > 0 {
+            if let Some(act) = self.ifetch(id) {
+                return act;
+            }
+            self.ces[id].compute_left -= 1;
+            self.ces[id].stats.instrs += 1;
+            return LaneAct::Retired { burst: true };
+        }
+
+        // Need a current op.
+        if self.ces[id].cur_op.is_none() {
+            if let Some(op) = self.ces[id].ops.pop_front() {
+                self.ces[id].cur_op = Some(op);
+            } else if self.ces[id].role == CeRole::Worker {
+                // Iteration complete: request the next one.
+                self.ccb.complete_iter();
+                self.ces[id].stats.iters_completed += 1;
+                self.ces[id].state = CeState::AwaitIter;
+                if let Some(tr) = self.tracer.as_deref_mut() {
+                    tr.iter_wait_since[id] = now;
+                }
+                return LaneAct::IterDone;
+            } else if self.refill_ops(id) {
+                self.ces[id].cur_op = self.ces[id].ops.pop_front();
+            } else {
+                return LaneAct::Other; // nothing to do this cycle
+            }
+            self.reset_op_flags(id);
+        }
+
+        let Some(op) = self.ces[id].cur_op else {
+            return LaneAct::Other;
+        };
+        match op {
+            Op::Compute(c) => {
+                // Fetch check for the first instruction of the burst; the
+                // burst starts after the fetch completes, so cur_op stays.
+                if let Some(act) = self.ifetch(id) {
+                    return act;
+                }
+                self.ces[id].stats.instrs += 1;
+                self.ces[id].compute_left = c.saturating_sub(1);
+                self.ces[id].cur_op = None;
+                LaneAct::Retired { burst: false }
+            }
+            Op::Load(a) | Op::Store(a) => {
+                let retry = self.op_fetched & self.vm_checked & bit != 0;
+                // Instruction fetch for this operand instruction.
+                if self.op_fetched & bit == 0 {
+                    self.op_fetched |= bit;
+                    if let Some(act) = self.ifetch(id) {
+                        return act;
+                    }
+                }
+                // Paging: first touch of the op.
+                if self.vm_checked & bit == 0 {
+                    self.vm_checked |= bit;
+                    let mode = if a.asid() == KERNEL_ASID {
+                        FaultMode::System
+                    } else {
+                        FaultMode::User
+                    };
+                    if !self.vm.touch(id, a.page(), mode) {
+                        // Page fault: CE stalls while an IP services it.
+                        self.fault_seq += 1;
+                        // Fault handling itself occasionally faults in
+                        // the kernel (handler paths, page tables).
+                        if self.fault_seq.is_multiple_of(4) {
+                            self.vm.charge_faults(id, 0, 1);
+                        }
+                        let until = now + self.cfg.fault_stall_cycles;
+                        self.ces[id].state = CeState::FaultStalled { until };
+                        self.ces[id].stats.fault_stall_cycles += self.cfg.fault_stall_cycles;
+                        return LaneAct::Faulted(until);
+                    }
+                }
+                let kind = if matches!(op, Op::Store(_)) {
+                    ReqKind::Write
+                } else {
+                    ReqKind::Read
+                };
+                LaneAct::Request {
+                    line: a.line(self.cfg.cache.line_bytes),
+                    kind,
+                    retry,
+                }
+            }
+            Op::AwaitSync(t) => {
+                self.ces[id].cur_op = None;
+                if self.ccb.sync_reached(t) {
+                    // Proceeds next cycle; the check itself costs this one.
+                    LaneAct::Other
+                } else {
+                    self.ces[id].state = CeState::AwaitSync { target: t };
+                    LaneAct::Parked(t)
+                }
+            }
+            Op::PostSync(v) => {
+                self.ccb.post_sync(v);
+                self.ces[id].stats.instrs += 1;
+                self.ces[id].cur_op = None;
+                LaneAct::Posted
+            }
+        }
+    }
+
+    /// Advance CE `id`'s fetch cursor one instruction. On an icache miss
+    /// the line becomes the CE's pending fetch, and the crossbar request
+    /// for it is returned.
+    #[inline]
+    fn ifetch(&mut self, id: CeId) -> Option<LaneAct> {
+        let line = self.ces[id].ifetch_step()?;
+        self.ces[id].pending_ifetch = Some(line);
+        Some(LaneAct::Request {
+            line,
+            kind: ReqKind::IFetch,
+            retry: false,
+        })
+    }
+
+    /// End CE `id`'s miss or fault stall, whose deadline has passed: a
+    /// miss stall finishes what it waited for. Returns the opcode the CE
+    /// shows on its bus this cycle (a miss stall's resume handshake).
+    #[inline]
+    fn wake(&mut self, id: CeId) -> CeBusOp {
+        let shown = match self.ces[id].state {
+            CeState::Stalled { resume_op, .. } => {
+                if let Some(action) = self.resume_actions[id].take() {
+                    self.resume(id, action);
+                }
+                resume_op
+            }
+            _ => CeBusOp::Idle,
+        };
+        self.ces[id].state = CeState::Ready;
+        shown
+    }
+
+    /// Complete CE `id`'s served request: install the fetched instruction
+    /// line, or retire the operand op.
+    #[inline]
+    fn resume(&mut self, id: CeId, action: ResumeAction) {
+        match action {
+            ResumeAction::FillIFetch(line) => self.ces[id].ifetch_fill(line),
+            ResumeAction::FinishOp => {
+                self.ces[id].cur_op = None;
+                self.ces[id].stats.instrs += 1;
+                self.reset_op_flags(id);
+            }
+        }
+    }
+
+    /// Serve CE `id`'s granted crossbar request for `line`: the cache
+    /// access and its memory-bus transactions, then either completion
+    /// (the data returns within the hit latency) or a miss stall that
+    /// [`Cluster::wake`] ends. Returns the stall's end on a miss.
+    #[inline(always)]
+    fn grant(&mut self, id: CeId, line: LineId, kind: ReqKind, now: Cycle) -> Option<Cycle> {
+        let outcome = self.caches.ce_access(line, kind.is_write());
+        let mut fetch_complete: Option<Cycle> = None;
+        for txn in &outcome.bus {
+            let op = match txn {
+                BusTxn::Fetch => MemBusOp::Fetch,
+                BusTxn::WriteBack => MemBusOp::WriteBack,
+                BusTxn::Coherence => MemBusOp::Coherence,
+                BusTxn::IpFetch => MemBusOp::IpTraffic,
+            };
+            let ticket = self.membus.schedule(now, op, line);
+            if *txn == BusTxn::Fetch {
+                fetch_complete = Some(ticket.complete);
+            }
+        }
+        let action = match kind {
+            ReqKind::IFetch => ResumeAction::FillIFetch(line),
+            ReqKind::Read | ReqKind::Write => ResumeAction::FinishOp,
+        };
+        if outcome.hit {
+            self.resume(id, action);
+            return None;
+        }
+        let until = fetch_complete.unwrap_or(now + self.cfg.mem_latency_cycles);
+        self.ces[id].stats.miss_stall_cycles += until.saturating_sub(now);
+        self.ces[id].state = CeState::Stalled {
+            until,
+            resume_op: CeBusOp::MissWait,
+        };
+        self.resume_actions[id] = Some(action);
+        Some(until)
+    }
+
     /// One bus cycle. `probed` selects whether the memory-bus probe is
     /// decoded into the returned word; everything that advances machine
     /// state (and every statistic) is identical on both paths, so quiet
@@ -1586,12 +1580,13 @@ impl Cluster {
         self.ip.step(now, &mut self.caches, &mut self.membus);
 
         // --- CCB: self-scheduled iteration dispatch.
-        let mut requesting = [false; MAX_CES];
-        for (req, ce) in requesting.iter_mut().zip(&self.ces) {
-            *req = ce.state == CeState::AwaitIter;
-        }
-        let requesting = &requesting[..n];
-        if requesting.iter().any(|&r| r) {
+        let requesting = self
+            .ces
+            .iter()
+            .enumerate()
+            .filter(|(_, ce)| ce.state == CeState::AwaitIter)
+            .fold(0 as LaneWord, |m, (id, _)| m | 1 << id);
+        if requesting != 0 {
             let mut grants = [IterGrant::Wait; MAX_CES];
             self.ccb.arbitrate_into(now, requesting, &mut grants[..n]);
             for (id, &grant) in grants[..n].iter().enumerate() {
@@ -1668,34 +1663,13 @@ impl Cluster {
         }
 
         // --- Per-CE execution: figure out who wants the crossbar.
-        let mut req_bank = [None::<usize>; MAX_CES];
-        let mut req_info = [None::<(crate::addr::LineId, ReqKind)>; MAX_CES];
+        let mut reqs = Requests::new();
         for id in 0..n {
             match self.ces[id].state {
-                CeState::Stalled { until, resume_op } => {
+                CeState::Stalled { until, .. } | CeState::FaultStalled { until } => {
                     if now >= until {
-                        // Completion handshake cycle.
-                        word.ce_ops[id] = resume_op;
-                        match self.resume_actions[id].take() {
-                            Some(ResumeAction::FillIFetch(line)) => {
-                                self.ces[id].ifetch_fill(line);
-                            }
-                            Some(ResumeAction::FinishOp) => {
-                                self.ces[id].cur_op = None;
-                                self.ces[id].stats.instrs += 1;
-                                self.reset_op_flags(id);
-                            }
-                            None => {}
-                        }
-                        self.ces[id].state = CeState::Ready;
+                        word.ce_ops[id] = self.wake(id);
                     }
-                    continue;
-                }
-                CeState::FaultStalled { until } => {
-                    if now >= until {
-                        self.ces[id].state = CeState::Ready;
-                    }
-                    continue;
                 }
                 CeState::AwaitSync { target } => {
                     if self.ccb.sync_reached(target) {
@@ -1703,194 +1677,31 @@ impl Cluster {
                     } else {
                         self.ccb.note_sync_wait();
                     }
-                    continue;
                 }
-                CeState::AwaitIter | CeState::AwaitJoin => continue,
-                CeState::Ready => {}
-            }
-
-            // Pending instruction fetch takes priority over everything.
-            if let Some(line) = self.ces[id].pending_ifetch {
-                req_bank[id] = Some(self.caches.bank_of(line));
-                req_info[id] = Some((line, ReqKind::IFetch));
-                continue;
-            }
-
-            // Continue a compute burst: one instruction per cycle.
-            if self.ces[id].compute_left > 0 {
-                if let Some(line) = self.ces[id].ifetch_step() {
-                    self.ces[id].pending_ifetch = Some(line);
-                    req_bank[id] = Some(self.caches.bank_of(line));
-                    req_info[id] = Some((line, ReqKind::IFetch));
-                } else {
-                    self.ces[id].compute_left -= 1;
-                    self.ces[id].stats.instrs += 1;
-                }
-                continue;
-            }
-
-            // Need a current op.
-            if self.ces[id].cur_op.is_none() {
-                if let Some(op) = self.ces[id].ops.pop_front() {
-                    self.ces[id].cur_op = Some(op);
-                    self.reset_op_flags(id);
-                } else {
-                    match self.ces[id].role {
-                        CeRole::Worker => {
-                            // Iteration complete: request the next one.
-                            self.ccb.complete_iter();
-                            self.ces[id].stats.iters_completed += 1;
-                            self.ces[id].state = CeState::AwaitIter;
-                            if let Some(tr) = self.tracer.as_deref_mut() {
-                                tr.iter_wait_since[id] = now;
-                            }
-                            continue;
-                        }
-                        _ => {
-                            if !self.refill_ops(id) {
-                                continue; // nothing to do this cycle
-                            }
-                            self.ces[id].cur_op = self.ces[id].ops.pop_front();
-                            self.reset_op_flags(id);
-                        }
+                CeState::AwaitIter | CeState::AwaitJoin => {}
+                CeState::Ready => {
+                    if let LaneAct::Request { line, kind, .. } = self.lane_act(id, now) {
+                        reqs.insert(id, line, kind, self.caches.bank_of(line));
                     }
-                }
-            }
-
-            let Some(op) = self.ces[id].cur_op else {
-                continue;
-            };
-            match op {
-                Op::Compute(c) => {
-                    // Fetch check for the first instruction of the burst.
-                    if let Some(line) = self.ces[id].ifetch_step() {
-                        self.ces[id].pending_ifetch = Some(line);
-                        req_bank[id] = Some(self.caches.bank_of(line));
-                        req_info[id] = Some((line, ReqKind::IFetch));
-                        // Burst starts after the fetch completes; rewind the
-                        // cursor effect by leaving cur_op in place.
-                        continue;
-                    }
-                    self.ces[id].stats.instrs += 1;
-                    self.ces[id].compute_left = c.saturating_sub(1);
-                    self.ces[id].cur_op = None;
-                }
-                Op::Load(a) | Op::Store(a) => {
-                    let kind = if matches!(op, Op::Store(_)) {
-                        ReqKind::Write
-                    } else {
-                        ReqKind::Read
-                    };
-                    // Instruction fetch for this operand instruction.
-                    if self.op_fetched & (1 << id) == 0 {
-                        self.op_fetched |= 1 << id;
-                        if let Some(line) = self.ces[id].ifetch_step() {
-                            self.ces[id].pending_ifetch = Some(line);
-                            req_bank[id] = Some(self.caches.bank_of(line));
-                            req_info[id] = Some((line, ReqKind::IFetch));
-                            continue;
-                        }
-                    }
-                    // Paging: first touch of the op.
-                    if self.vm_checked & (1 << id) == 0 {
-                        self.vm_checked |= 1 << id;
-                        let mode = if a.asid() == KERNEL_ASID {
-                            FaultMode::System
-                        } else {
-                            FaultMode::User
-                        };
-                        if !self.vm.touch(id, a.page(), mode) {
-                            // Page fault: CE stalls while an IP services it.
-                            self.fault_seq += 1;
-                            // Fault handling itself occasionally faults in
-                            // the kernel (handler paths, page tables).
-                            if self.fault_seq.is_multiple_of(4) {
-                                self.vm.charge_faults(id, 0, 1);
-                            }
-                            let until = now + self.cfg.fault_stall_cycles;
-                            self.ces[id].state = CeState::FaultStalled { until };
-                            self.ces[id].stats.fault_stall_cycles += self.cfg.fault_stall_cycles;
-                            continue;
-                        }
-                    }
-                    let line = a.line(self.cfg.cache.line_bytes);
-                    req_bank[id] = Some(self.caches.bank_of(line));
-                    req_info[id] = Some((line, kind));
-                }
-                Op::AwaitSync(t) => {
-                    self.ces[id].cur_op = None;
-                    if self.ccb.sync_reached(t) {
-                        // Proceeds immediately; the check itself costs this cycle.
-                    } else {
-                        self.ces[id].state = CeState::AwaitSync { target: t };
-                    }
-                }
-                Op::PostSync(v) => {
-                    self.ccb.post_sync(v);
-                    self.ces[id].stats.instrs += 1;
-                    self.ces[id].cur_op = None;
                 }
             }
         }
 
-        // --- Crossbar arbitration and cache access. With no requester the
-        // arbiter is a no-op (no grants, denials, rotor or busy-window
-        // changes), so skip its banks×CEs scan entirely.
-        let mut granted = [false; MAX_CES];
-        let any_request = req_bank[..n].iter().any(|r| r.is_some());
-        if any_request {
-            self.crossbar.arbitrate_into(
-                now,
-                &req_bank[..n],
-                self.cfg.cache_hit_cycles,
-                &mut granted[..n],
-            );
-        }
-        for id in 0..n {
-            let Some((line, kind)) = req_info[id] else {
-                continue;
-            };
+        // --- Crossbar arbitration and cache access.
+        let won = self.crossbar.arbitrate_masks_swar(
+            now,
+            &reqs.by_bank,
+            reqs.occupied,
+            self.cfg.cache_hit_cycles,
+        );
+        self.crossbar.note_denials(reqs.pending & !won);
+        for id in swar::bits(reqs.pending) {
             // The request occupies the CE bus whether or not it wins.
-            word.ce_ops[id] = kind.bus_op();
-            if !granted[id] {
-                continue; // retry next cycle
-            }
-            let outcome = self.caches.ce_access(line, kind.is_write());
-            let mut fetch_complete: Option<Cycle> = None;
-            for txn in &outcome.bus {
-                let op = match txn {
-                    BusTxn::Fetch => MemBusOp::Fetch,
-                    BusTxn::WriteBack => MemBusOp::WriteBack,
-                    BusTxn::Coherence => MemBusOp::Coherence,
-                    BusTxn::IpFetch => MemBusOp::IpTraffic,
-                };
-                let ticket = self.membus.schedule(now, op, line);
-                if *txn == BusTxn::Fetch {
-                    fetch_complete = Some(ticket.complete);
-                }
-            }
-            if outcome.hit {
-                // Data returns within the hit latency; the op completes.
-                match kind {
-                    ReqKind::IFetch => self.ces[id].ifetch_fill(line),
-                    ReqKind::Read | ReqKind::Write => {
-                        self.ces[id].cur_op = None;
-                        self.ces[id].stats.instrs += 1;
-                        self.reset_op_flags(id);
-                    }
-                }
-            } else {
-                let until = fetch_complete.unwrap_or(now + self.cfg.mem_latency_cycles);
-                self.ces[id].stats.miss_stall_cycles += until.saturating_sub(now);
-                self.ces[id].state = CeState::Stalled {
-                    until,
-                    resume_op: CeBusOp::MissWait,
-                };
-                self.resume_actions[id] = Some(match kind {
-                    ReqKind::IFetch => ResumeAction::FillIFetch(line),
-                    ReqKind::Read | ReqKind::Write => ResumeAction::FinishOp,
-                });
-            }
+            word.ce_ops[id] = reqs.get(id).1.bus_op();
+        }
+        for id in swar::bits(won) {
+            let (line, kind) = reqs.get(id);
+            self.grant(id, line, kind, now);
         }
 
         // --- Probe assembly.
@@ -1933,7 +1744,7 @@ impl Cluster {
         #[cfg(feature = "audit")]
         {
             let mut aud = std::mem::take(&mut self.auditor);
-            aud.check_cycle(self, &word, &req_bank[..n], &granted[..n]);
+            aud.check_cycle(self, &word, &reqs, won);
             self.auditor = aud;
         }
 
@@ -2438,68 +2249,5 @@ mod tests {
         assert!(m.cycles.consistent());
         assert_eq!(m.events_recorded, 0);
         assert_eq!(m.ccb_grant_latency.count, 0);
-    }
-}
-
-#[cfg(test)]
-mod ff_profile {
-    use super::*;
-    use crate::config::MachineConfig;
-
-    #[test]
-    #[ignore]
-    fn classify_serial_stepped_cycles() {
-        let mut c = Cluster::new(MachineConfig::fx8(), 2);
-        c.set_ip_intensity(0.015);
-        // Approximates the bench's scalar-serial kernel: ~5 compute per
-        // memory ref over a 64 KB hot set and a 48 KB code footprint.
-        c.mount_serial(
-            Box::new(crate::stream::StridedSerial::new(
-                crate::stream::CodeRegion {
-                    base: crate::addr::VAddr::new(1, 0),
-                    footprint_bytes: 48 * 1024,
-                    bytes_per_instr: 4,
-                },
-                crate::addr::VAddr::new(1, 0x10_0000),
-                96,
-                64 * 1024,
-                5,
-            )),
-            1,
-            None,
-        );
-        c.run(5_000);
-        let mut stepped = 0u64;
-        let mut skipped = 0u64;
-        let mut windows = std::collections::BTreeMap::new();
-        let mut classes = std::collections::BTreeMap::new();
-        let end = c.now + 500_000;
-        while c.now < end {
-            let plan = c.skippable(end - c.now);
-            if plan.k > 0 {
-                let k = plan.k;
-                skipped += k;
-                *windows.entry(k.min(16)).or_insert(0u64) += 1;
-                c.advance_bulk(plan);
-            } else {
-                stepped += 1;
-                let ce = &c.ces[0];
-                let class = match ce.state {
-                    CeState::Stalled { until, .. } if until <= c.now => "resume",
-                    CeState::Stalled { .. } => "stall-other",
-                    CeState::Ready if ce.pending_ifetch.is_some() => "ifetch-retry",
-                    CeState::Ready if ce.compute_left > 0 => "burst-boundary",
-                    CeState::Ready if ce.cur_op.is_some() => "cur-op",
-                    CeState::Ready if !ce.ops.is_empty() => "dispatch",
-                    CeState::Ready => "refill",
-                    _ => "other",
-                };
-                *classes.entry(class).or_insert(0u64) += 1;
-                c.step_cycle(false);
-            }
-        }
-        eprintln!("stepped={stepped} skipped={skipped}");
-        eprintln!("window sizes (capped 16): {windows:?}");
-        eprintln!("stepped classes: {classes:?}");
     }
 }

@@ -148,6 +148,11 @@ impl Arbitration {
     }
 }
 
+/// Most cache banks a machine may have: the crossbar keeps its occupied
+/// banks as one bit each in a [`LaneWord`](crate::LaneWord), so both
+/// steppers size their per-bank requester masks from this.
+pub const MAX_BANKS: usize = crate::LaneWord::BITS as usize;
+
 /// Geometry of the shared CE cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheGeometry {
@@ -197,6 +202,13 @@ impl CacheGeometry {
                 field: "cache.banks",
                 value: self.banks as u64,
             });
+        }
+        if self.banks > MAX_BANKS {
+            return Err(ConfigError::out_of_range(
+                "cache.banks",
+                self.banks,
+                format!("at most {MAX_BANKS} banks (one bit per bank in a lane word)"),
+            ));
         }
         if self.assoc == 0 {
             return Err(ConfigError::Zero {
@@ -418,9 +430,8 @@ impl MachineConfig {
     /// bank per two CEs, one memory bus per four CEs), so the scaling
     /// curves isolate the concurrency effects of width rather than of
     /// starving the cache. Bank count and memory interleave saturate at 16
-    /// (the widest crossbar the dense kernel's conflict masks carry), which
-    /// is itself a measured effect: past 32 CEs the interleave stops
-    /// scaling and bank contention climbs. Latencies, CCB behaviour and IP
+    /// (below [`MAX_BANKS`]), which is itself a measured effect: past 32
+    /// CEs the interleave stops scaling and bank contention climbs. Latencies, CCB behaviour and IP
     /// background load stay at the measured machine's values. `n_ces` is
     /// rounded up to a power of two for the geometry computations, so every
     /// width in `1..=64` validates.
@@ -664,6 +675,10 @@ mod tests {
         let mut g3 = MachineConfig::fx8().cache;
         g3.assoc = 0;
         assert!(g3.validate().is_err());
+        let mut g4 = MachineConfig::fx8().cache;
+        g4.banks = 2 * MAX_BANKS;
+        g4.total_bytes *= 64;
+        assert_eq!(g4.validate().unwrap_err().field(), "cache.banks");
     }
 
     #[test]
@@ -733,7 +748,7 @@ mod tests {
         assert_eq!(eight.cache, MachineConfig::fx8().cache);
         assert_eq!(eight.mem_buses, MachineConfig::fx8().mem_buses);
         assert_eq!(eight.mem_interleave, MachineConfig::fx8().mem_interleave);
-        // Bank count saturates at the 16-bank crossbar ceiling.
+        // Bank count saturates at the preset's 16-bank ceiling.
         assert_eq!(MachineConfig::scaled(64).cache.banks, 16);
         assert_eq!(MachineConfig::scaled(64).mem_buses, 16);
         // Odd widths round geometry up to the next power of two and still

@@ -8,8 +8,11 @@
 //! — which is how shared-resource contention becomes visible in the
 //! CE-bus-busy measure.
 
-use crate::config::Arbitration;
-use crate::{CeId, Cycle, LaneWord};
+use crate::addr::LineId;
+use crate::config::{Arbitration, MAX_BANKS};
+use crate::opcode::CeBusOp;
+use crate::probe::MAX_CES;
+use crate::{swar, CeId, Cycle, LaneWord};
 use serde::{Deserialize, Serialize};
 
 /// Contention counters.
@@ -27,6 +30,98 @@ pub struct CrossbarStats {
     pub grants_by_bank: Vec<u64>,
 }
 
+/// What a CE asks the crossbar for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReqKind {
+    Read,
+    Write,
+    IFetch,
+}
+
+impl ReqKind {
+    /// The opcode the request shows on the CE bus, granted or not.
+    pub(crate) fn bus_op(self) -> CeBusOp {
+        match self {
+            ReqKind::Read => CeBusOp::Read,
+            ReqKind::Write => CeBusOp::Write,
+            ReqKind::IFetch => CeBusOp::IFetch,
+        }
+    }
+
+    pub(crate) fn is_write(self) -> bool {
+        matches!(self, ReqKind::Write)
+    }
+}
+
+/// The crossbar requests outstanding in a cycle, lane-packed: the one
+/// table both cluster steppers fill and [`Crossbar::arbitrate_masks_swar`]
+/// resolves. The scalar stepper fills a fresh table every cycle. The dense
+/// stepper keeps one across its window, because a denied request (line,
+/// kind, bank) stays the same until it is granted.
+#[derive(Debug)]
+pub(crate) struct Requests {
+    /// Lanes with a request outstanding.
+    pub(crate) pending: LaneWord,
+    /// Per bank, the lanes requesting it.
+    pub(crate) by_bank: [LaneWord; MAX_BANKS],
+    /// Banks with at least one requester: the resolver's scan list.
+    pub(crate) occupied: LaneWord,
+    line: [LineId; MAX_CES],
+    kind: [ReqKind; MAX_CES],
+    bank: [u8; MAX_CES],
+}
+
+impl Requests {
+    pub(crate) fn new() -> Self {
+        Requests {
+            pending: 0,
+            by_bank: [0; MAX_BANKS],
+            occupied: 0,
+            line: [LineId(0); MAX_CES],
+            kind: [ReqKind::Read; MAX_CES],
+            bank: [0; MAX_CES],
+        }
+    }
+
+    /// CE `ce` requests `line` in `bank`.
+    #[inline]
+    pub(crate) fn insert(&mut self, ce: CeId, line: LineId, kind: ReqKind, bank: usize) {
+        debug_assert!(bank < MAX_BANKS);
+        let bit: LaneWord = 1 << ce;
+        self.pending |= bit;
+        self.by_bank[bank] |= bit;
+        self.occupied |= 1 << bank;
+        self.line[ce] = line;
+        self.kind[ce] = kind;
+        self.bank[ce] = bank as u8;
+    }
+
+    /// The line and kind CE `ce` requests.
+    #[inline]
+    pub(crate) fn get(&self, ce: CeId) -> (LineId, ReqKind) {
+        (self.line[ce], self.kind[ce])
+    }
+
+    /// The bank CE `ce` requests.
+    #[cfg(feature = "audit")]
+    pub(crate) fn bank(&self, ce: CeId) -> usize {
+        self.bank[ce] as usize
+    }
+
+    /// Retire CE `ce`'s request (it was granted) and return it.
+    #[inline]
+    pub(crate) fn remove(&mut self, ce: CeId) -> (LineId, ReqKind) {
+        let bit: LaneWord = 1 << ce;
+        let bank = self.bank[ce] as usize;
+        self.pending &= !bit;
+        self.by_bank[bank] &= !bit;
+        if self.by_bank[bank] == 0 {
+            self.occupied &= !(1 << bank);
+        }
+        self.get(ce)
+    }
+}
+
 /// The crossbar arbiter.
 #[derive(Debug)]
 pub struct Crossbar {
@@ -36,9 +131,6 @@ pub struct Crossbar {
     bank_busy_until: Vec<Cycle>,
     /// Per-bank round-robin rotor (last winner).
     rotor: Vec<usize>,
-    /// Per-bank requester bitmask, rebuilt each arbitration cycle (owned
-    /// buffer so the per-cycle path stays allocation-free).
-    req_mask: Vec<LaneWord>,
     /// Priority permutation for the fixed (rotor-independent) disciplines,
     /// materialized once; empty for `RoundRobin`, whose order rotates.
     prio: Vec<u8>,
@@ -46,8 +138,10 @@ pub struct Crossbar {
 }
 
 impl Crossbar {
-    /// Build an arbiter for `n_ces` CEs and `banks` cache banks.
+    /// Build an arbiter for `n_ces` CEs and `banks` cache banks (at most
+    /// [`MAX_BANKS`]).
     pub fn new(n_ces: usize, banks: usize, arb: Arbitration) -> Self {
+        assert!(banks <= MAX_BANKS, "{banks} banks exceed MAX_BANKS");
         let prio = match arb {
             Arbitration::RoundRobin => Vec::new(),
             fixed => fixed.order(n_ces, 0).into_iter().map(|c| c as u8).collect(),
@@ -57,7 +151,6 @@ impl Crossbar {
             n_ces,
             bank_busy_until: vec![0; banks],
             rotor: vec![0; banks],
-            req_mask: vec![0; banks],
             prio,
             stats: CrossbarStats {
                 denials_by_ce: vec![0; n_ces],
@@ -95,14 +188,13 @@ impl Crossbar {
         }
     }
 
-    /// Charge a denial to every CE set in `mask`.
+    /// Charge one denial to every CE set in `mask`: the requesters of one
+    /// cycle that [`Crossbar::arbitrate_masks_swar`] did not grant.
     #[inline]
-    fn deny_mask(&mut self, mut mask: LaneWord) {
+    pub(crate) fn note_denials(&mut self, mask: LaneWord) {
         self.stats.denials += mask.count_ones() as u64;
-        while mask != 0 {
-            let ce = mask.trailing_zeros() as usize;
+        for ce in swar::bits(mask) {
             self.stats.denials_by_ce[ce] += 1;
-            mask &= mask - 1;
         }
     }
 
@@ -111,107 +203,32 @@ impl Crossbar {
         &self.stats
     }
 
-    /// Arbitrate one cycle, materializing the grant flags (tests, tools).
-    /// The cluster's stepper uses [`Crossbar::arbitrate_into`].
-    pub fn arbitrate(
-        &mut self,
-        now: Cycle,
-        requests: &[Option<usize>],
-        service_cycles: u64,
-    ) -> Vec<bool> {
-        let mut granted = vec![false; self.n_ces];
-        self.arbitrate_into(now, requests, service_cycles, &mut granted);
-        granted
-    }
-
-    /// Arbitrate one cycle into a caller-owned grant buffer — the per-cycle
-    /// path, free of heap allocation. `requests[ce] = Some(bank)` if CE `ce`
-    /// wants `bank` this cycle; every slot of `granted` is overwritten. A
-    /// granted bank is then busy for `service_cycles` (hit-service
-    /// occupancy).
-    pub fn arbitrate_into(
-        &mut self,
-        now: Cycle,
-        requests: &[Option<usize>],
-        service_cycles: u64,
-        granted: &mut [bool],
-    ) {
-        debug_assert_eq!(requests.len(), self.n_ces);
-        debug_assert_eq!(granted.len(), self.n_ces);
-        granted.fill(false);
-        // One pass over the CEs builds per-bank requester bitmasks; the
-        // per-bank work below is then mask arithmetic instead of rescanning
-        // the request slice twice per bank.
-        let banks = self.bank_busy_until.len();
-        self.req_mask[..banks].fill(0);
-        for (ce, req) in requests.iter().enumerate() {
-            if let Some(b) = *req {
-                if b < banks {
-                    self.req_mask[b] |= 1 << ce;
-                }
-            }
-        }
-        let mut won = self.arbitrate_staged(now, service_cycles);
-        while won != 0 {
-            let ce = won.trailing_zeros() as usize;
-            granted[ce] = true;
-            won &= won - 1;
-        }
-    }
-
-    /// Arbitrate one cycle from per-bank requester bitmasks, returning the
-    /// granted CEs as a bitmask. This is the dense stepper's path: the SoA
-    /// kernel already keeps its requests lane-packed, so the bank conflict
-    /// resolution never leaves mask arithmetic. Counter movement is
-    /// identical to [`Crossbar::arbitrate_into`] with the equivalent
-    /// request slice — both funnel into the same staged resolver.
-    /// Kept as the reference resolver for the SWAR differential tests
-    /// (`arbitrate_masks_swar` must grant and count identically).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn arbitrate_masks(
-        &mut self,
-        now: Cycle,
-        bank_req: &[LaneWord],
-        service_cycles: u64,
-    ) -> LaneWord {
-        let banks = self.bank_busy_until.len();
-        debug_assert!(bank_req.len() >= banks);
-        self.req_mask[..banks].copy_from_slice(&bank_req[..banks]);
-        self.arbitrate_staged(now, service_cycles)
-    }
-
-    /// The SWAR twin of [`Crossbar::arbitrate_masks`]: resolve one cycle
-    /// over a caller-maintained persistent bank×word requester table,
-    /// visiting only the banks flagged in `occupied` (a bank bitmask the
-    /// dense kernel keeps incrementally as requests enter and are
-    /// granted). Two deliberate asymmetries against the staged resolver,
-    /// both invisible at window granularity:
+    /// Arbitrate one cycle over a per-bank requester table, returning the
+    /// granted CEs as a bitmask. Only the banks flagged in `occupied` (a
+    /// bank bitmask kept in step with `bank_req`) are visited, in
+    /// ascending order; a free bank grants the policy winner of its mask
+    /// and is then busy for `service_cycles` (hit-service occupancy).
     ///
-    /// * empty banks are never scanned — the occupancy word is the scan
-    ///   list, so an idle 16-bank geometry costs nothing;
-    /// * **denials are not charged here.** Each cycle's denied set is
-    ///   exactly `requesters & !won`, which the dense kernel accumulates
-    ///   in a packed SWAR word and flushes through
-    ///   [`Crossbar::note_denied_retries`] at window exit. Grants, the
-    ///   per-bank rotor, and bank service occupancy move per-grant,
-    ///   identically to the staged path.
+    /// **Denials are not charged here.** A cycle's denied set is exactly
+    /// `requesters & !won`, and the caller charges it: the scalar stepper
+    /// every cycle through [`Crossbar::note_denials`], the dense stepper
+    /// from packed per-lane counts through
+    /// [`Crossbar::note_denied_retries`]. Grants, the per-bank rotor and
+    /// bank occupancy move here, per grant.
     #[inline]
     pub(crate) fn arbitrate_masks_swar(
         &mut self,
         now: Cycle,
         bank_req: &[LaneWord],
-        occupied: u32,
+        occupied: LaneWord,
         service_cycles: u64,
     ) -> LaneWord {
         let mut won: LaneWord = 0;
-        let mut banks = occupied;
-        while banks != 0 {
-            let bank = banks.trailing_zeros() as usize;
-            banks &= banks - 1;
+        for bank in swar::bits(occupied) {
             let mask = bank_req[bank];
             debug_assert!(mask != 0, "occupied bank {bank} has no requesters");
             if self.bank_busy_until[bank] > now {
-                continue; // busy: denial accounted by the caller's flush
+                continue; // busy: the caller charges the denials
             }
             let w: CeId = self.winner_of(mask, self.rotor[bank]);
             won |= 1 << w;
@@ -219,32 +236,6 @@ impl Crossbar {
             self.stats.grants_by_bank[bank] += 1;
             self.bank_busy_until[bank] = now + service_cycles;
             self.rotor[bank] = w;
-        }
-        won
-    }
-
-    /// Resolve one cycle's conflicts over the staged `req_mask` buffers.
-    /// Returns the winners as a CE bitmask.
-    fn arbitrate_staged(&mut self, now: Cycle, service_cycles: u64) -> LaneWord {
-        let banks = self.bank_busy_until.len();
-        let mut won: LaneWord = 0;
-        for bank in 0..banks {
-            let mask = self.req_mask[bank];
-            if mask == 0 {
-                continue;
-            }
-            if self.bank_busy_until[bank] > now {
-                // Bank still servicing: everyone aiming at it is denied.
-                self.deny_mask(mask);
-                continue;
-            }
-            let w: CeId = self.winner_of(mask, self.rotor[bank]);
-            won |= 1 << w;
-            self.stats.grants += 1;
-            self.stats.grants_by_bank[bank] += 1;
-            self.bank_busy_until[bank] = now + service_cycles;
-            self.rotor[bank] = w;
-            self.deny_mask(mask & !(1 << w));
         }
         won
     }
@@ -259,31 +250,32 @@ impl Crossbar {
     }
 
     /// Account `k` denied retry cycles for CE `ce` in closed form: exactly
-    /// the counter movement `k` busy-bank [`Crossbar::arbitrate_into`]
-    /// cycles would record for that CE (a busy-bank denial touches no
-    /// other arbiter state — the rotor only moves on grants).
+    /// the counter movement of `k` per-cycle denials of that CE (a
+    /// busy-bank denial touches no other arbiter state — the rotor only
+    /// moves on grants).
     pub fn note_denied_retries(&mut self, ce: CeId, k: u64) {
         self.stats.denials += k;
         self.stats.denials_by_ce[ce] += k;
     }
 
-    /// Capacity invariants over one cycle's arbitration outcome: a grant
-    /// implies a request, at most one grant per bank, and the granted bank
-    /// was claimed for service. Allocation-free (nested scan over ≤ 8 CEs).
+    /// Capacity invariants over one cycle's arbitration outcome, given the
+    /// cycle's request table and granted lanes: a grant implies a request,
+    /// at most one grant per bank, and the granted bank was claimed for
+    /// service. Allocation-free.
     #[cfg(feature = "audit")]
     pub(crate) fn audit_check(
         &self,
         now: Cycle,
-        requests: &[Option<usize>],
-        granted: &[bool],
+        reqs: &Requests,
+        won: LaneWord,
     ) -> Result<(), String> {
-        for (ce, &g) in granted.iter().enumerate() {
-            if !g {
-                continue;
-            }
-            let Some(bank) = requests[ce] else {
-                return Err(format!("CE{ce} granted without a request"));
-            };
+        let stray = won & !reqs.pending;
+        if stray != 0 {
+            let ce = stray.trailing_zeros();
+            return Err(format!("CE{ce} granted without a request"));
+        }
+        for ce in swar::bits(won) {
+            let bank = reqs.bank(ce);
             if self.bank_busy_until[bank] < now {
                 return Err(format!(
                     "CE{ce} granted bank {bank} but the bank was never claimed \
@@ -291,12 +283,12 @@ impl Crossbar {
                     self.bank_busy_until[bank]
                 ));
             }
-            for (other, &g2) in granted.iter().enumerate() {
-                if other != ce && g2 && requests[other] == Some(bank) {
-                    return Err(format!(
-                        "bank {bank} granted to CE{ce} and CE{other} in the same cycle"
-                    ));
-                }
+            let others = reqs.by_bank[bank] & won & !(1 << ce);
+            if others != 0 {
+                let other = others.trailing_zeros();
+                return Err(format!(
+                    "bank {bank} granted to CE{ce} and CE{other} in the same cycle"
+                ));
             }
         }
         Ok(())
@@ -307,10 +299,61 @@ impl Crossbar {
 mod tests {
     use super::*;
 
+    /// One scalar-stepper cycle over a request slice: `requests[ce] =
+    /// Some(bank)` if CE `ce` wants `bank`. Fills a fresh request table,
+    /// resolves it and charges the denials, as `Cluster::step_cycle` does.
+    fn arbitrate(
+        x: &mut Crossbar,
+        now: Cycle,
+        requests: &[Option<usize>],
+        service_cycles: u64,
+    ) -> Vec<bool> {
+        let mut reqs = Requests::new();
+        for (ce, req) in requests.iter().enumerate() {
+            if let Some(bank) = *req {
+                reqs.insert(ce, LineId(bank as u64), ReqKind::Read, bank);
+            }
+        }
+        let won = x.arbitrate_masks_swar(now, &reqs.by_bank, reqs.occupied, service_cycles);
+        x.note_denials(reqs.pending & !won);
+        (0..requests.len()).map(|ce| won >> ce & 1 != 0).collect()
+    }
+
+    /// The staged reference resolver: visit every bank in order and charge
+    /// each bank's denials as it goes. Production resolves through
+    /// [`Crossbar::arbitrate_masks_swar`] with caller-charged denials; the
+    /// differential proptest below holds the two equal.
+    fn arbitrate_masks(
+        x: &mut Crossbar,
+        now: Cycle,
+        bank_req: &[LaneWord],
+        service_cycles: u64,
+    ) -> LaneWord {
+        let mut won: LaneWord = 0;
+        for (bank, &mask) in bank_req.iter().enumerate().take(x.bank_busy_until.len()) {
+            if mask == 0 {
+                continue;
+            }
+            if x.bank_busy_until[bank] > now {
+                // Bank still servicing: everyone aiming at it is denied.
+                x.note_denials(mask);
+                continue;
+            }
+            let w: CeId = x.winner_of(mask, x.rotor[bank]);
+            won |= 1 << w;
+            x.stats.grants += 1;
+            x.stats.grants_by_bank[bank] += 1;
+            x.bank_busy_until[bank] = now + service_cycles;
+            x.rotor[bank] = w;
+            x.note_denials(mask & !(1 << w));
+        }
+        won
+    }
+
     #[test]
     fn sole_requester_is_granted() {
         let mut x = Crossbar::new(4, 2, Arbitration::FixedLowFirst);
-        let g = x.arbitrate(0, &[None, Some(1), None, None], 1);
+        let g = arbitrate(&mut x, 0, &[None, Some(1), None, None], 1);
         assert_eq!(g, vec![false, true, false, false]);
         assert_eq!(x.stats().grants, 1);
         assert_eq!(x.stats().denials, 0);
@@ -319,7 +362,7 @@ mod tests {
     #[test]
     fn conflict_resolved_by_priority() {
         let mut x = Crossbar::new(4, 1, Arbitration::FixedLowFirst);
-        let g = x.arbitrate(0, &[Some(0), Some(0), None, Some(0)], 1);
+        let g = arbitrate(&mut x, 0, &[Some(0), Some(0), None, Some(0)], 1);
         assert_eq!(g, vec![true, false, false, false]);
         assert_eq!(x.stats().denials, 2);
         assert_eq!(x.stats().denials_by_ce, vec![0, 1, 0, 1]);
@@ -328,18 +371,24 @@ mod tests {
     #[test]
     fn busy_bank_denies_everyone() {
         let mut x = Crossbar::new(2, 1, Arbitration::FixedLowFirst);
-        assert_eq!(x.arbitrate(0, &[Some(0), None], 3), vec![true, false]);
+        assert_eq!(arbitrate(&mut x, 0, &[Some(0), None], 3), vec![true, false]);
         // Cycles 1 and 2: bank busy.
-        assert_eq!(x.arbitrate(1, &[None, Some(0)], 3), vec![false, false]);
-        assert_eq!(x.arbitrate(2, &[None, Some(0)], 3), vec![false, false]);
+        assert_eq!(
+            arbitrate(&mut x, 1, &[None, Some(0)], 3),
+            vec![false, false]
+        );
+        assert_eq!(
+            arbitrate(&mut x, 2, &[None, Some(0)], 3),
+            vec![false, false]
+        );
         // Cycle 3: free again.
-        assert_eq!(x.arbitrate(3, &[None, Some(0)], 3), vec![false, true]);
+        assert_eq!(arbitrate(&mut x, 3, &[None, Some(0)], 3), vec![false, true]);
     }
 
     #[test]
     fn distinct_banks_grant_in_parallel() {
         let mut x = Crossbar::new(4, 4, Arbitration::FixedLowFirst);
-        let g = x.arbitrate(0, &[Some(0), Some(1), Some(2), Some(3)], 1);
+        let g = arbitrate(&mut x, 0, &[Some(0), Some(1), Some(2), Some(3)], 1);
         assert_eq!(g, vec![true; 4]);
     }
 
@@ -348,11 +397,14 @@ mod tests {
         let mk = || Crossbar::new(2, 1, Arbitration::FixedLowFirst);
         let (mut a, mut b) = (mk(), mk());
         // Claim the bank for 5 cycles at t=0 on both arbiters.
-        assert_eq!(a.arbitrate(0, &[Some(0), None], 5), vec![true, false]);
-        assert_eq!(b.arbitrate(0, &[Some(0), None], 5), vec![true, false]);
+        assert_eq!(arbitrate(&mut a, 0, &[Some(0), None], 5), vec![true, false]);
+        assert_eq!(arbitrate(&mut b, 0, &[Some(0), None], 5), vec![true, false]);
         // Per-cycle: CE1 retries cycles 1..5, denied each time.
         for t in 1..5 {
-            assert_eq!(a.arbitrate(t, &[None, Some(0)], 5), vec![false, false]);
+            assert_eq!(
+                arbitrate(&mut a, t, &[None, Some(0)], 5),
+                vec![false, false]
+            );
         }
         // Bulk: the horizon says the bank frees at cycle 5; account the
         // 4 skipped retry cycles in closed form.
@@ -360,8 +412,8 @@ mod tests {
         b.note_denied_retries(1, 4);
         assert_eq!(a.stats(), b.stats());
         // Both arbiters then grant identically at the horizon cycle.
-        let ga = a.arbitrate(5, &[None, Some(0)], 5);
-        let gb = b.arbitrate(5, &[None, Some(0)], 5);
+        let ga = arbitrate(&mut a, 5, &[None, Some(0)], 5);
+        let gb = arbitrate(&mut b, 5, &[None, Some(0)], 5);
         assert_eq!(ga, gb);
         assert_eq!(ga, vec![false, true]);
         assert_eq!(a.stats(), b.stats());
@@ -372,7 +424,7 @@ mod tests {
         let mut x = Crossbar::new(2, 1, Arbitration::RoundRobin);
         let mut wins = [0u32; 2];
         for t in 0..10 {
-            let g = x.arbitrate(t, &[Some(0), Some(0)], 1);
+            let g = arbitrate(&mut x, t, &[Some(0), Some(0)], 1);
             for (ce, got) in g.iter().enumerate() {
                 if *got {
                     wins[ce] += 1;
@@ -386,7 +438,7 @@ mod tests {
     fn fixed_priority_starves_low_priority_under_saturation() {
         let mut x = Crossbar::new(2, 1, Arbitration::FixedLowFirst);
         for t in 0..10 {
-            let g = x.arbitrate(t, &[Some(0), Some(0)], 1);
+            let g = arbitrate(&mut x, t, &[Some(0), Some(0)], 1);
             assert!(g[0] && !g[1]);
         }
         assert_eq!(x.stats().denials_by_ce[1], 10);
@@ -402,7 +454,7 @@ mod tests {
         const WIDTHS: [usize; 5] = [2, 8, 16, 32, 64];
 
         /// Bank count for a width, mirroring the scaled preset's geometry
-        /// (one bank per two CEs, saturating at the 16-bank crossbar).
+        /// (one bank per two CEs, saturating at 16 banks).
         fn banks_for(n_ces: usize) -> usize {
             (n_ces / 2).clamp(2, 16)
         }
@@ -421,12 +473,18 @@ mod tests {
             let mut denied = vec![0u64; n_ces];
             for (t, (bank_req, service)) in cycles.iter().enumerate() {
                 let now = t as Cycle;
-                let want = staged.arbitrate_masks(now, bank_req, *service);
+                let want = arbitrate_masks(&mut staged, now, bank_req, *service);
                 let occupied =
-                    bank_req
-                        .iter()
-                        .enumerate()
-                        .fold(0u32, |o, (b, &m)| if m != 0 { o | 1 << b } else { o });
+                    bank_req.iter().enumerate().fold(
+                        0,
+                        |o, (b, &m)| {
+                            if m != 0 {
+                                o | 1 << b
+                            } else {
+                                o
+                            }
+                        },
+                    );
                 let got = swar.arbitrate_masks_swar(now, bank_req, occupied, *service);
                 prop_assert_eq!(
                     want,

@@ -52,6 +52,19 @@ pub const fn group_mask(mask: LaneWord, g: usize) -> LaneWord {
     (mask >> (PACKED_LANES * g)) & 0xff
 }
 
+/// The indices of the bits set in `mask`, ascending: the lanes of a lane
+/// mask, or the banks of a bank mask.
+#[inline]
+pub fn bits(mut mask: LaneWord) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 /// Spread the low [`PACKED_LANES`] bits of `mask` into packed byte lanes:
 /// byte `i` of the result is 1 exactly when bit `i` of `mask` is set.
 ///
@@ -96,6 +109,16 @@ pub fn packed_lane(acc: u64, lane: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bits_lists_set_bits_ascending() {
+        assert_eq!(bits(0).count(), 0);
+        assert_eq!(bits(0b1010_0101).collect::<Vec<_>>(), vec![0, 2, 5, 7]);
+        assert_eq!(
+            bits(LaneWord::MAX).collect::<Vec<_>>(),
+            (0..64).collect::<Vec<_>>()
+        );
+    }
 
     #[test]
     fn spread8_places_each_bit_in_its_own_byte() {

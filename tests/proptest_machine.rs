@@ -5,7 +5,7 @@ use fx8_study::monitor::{DasConfig, DasMonitor, EventCounts, Trigger};
 use fx8_study::sim::ccb::{Ccb, IterGrant};
 use fx8_study::sim::cluster::LoadKind;
 use fx8_study::sim::config::Arbitration;
-use fx8_study::sim::{Cluster, MachineConfig};
+use fx8_study::sim::{Cluster, LaneWord, MachineConfig};
 use fx8_study::workload::kernels::LoopKernel;
 use proptest::prelude::*;
 
@@ -101,14 +101,10 @@ proptest! {
         // forcing all-request once the pattern mask goes quiet.
         while granted.len() < total as usize {
             let mask = *pat.next().expect("cycled");
-            let mut requesting = [false; 8];
-            for (j, r) in requesting.iter_mut().enumerate() {
-                *r = mask & (1 << j) != 0;
-            }
-            if mask == 0 {
-                requesting = [true; 8];
-            }
-            for g in ccb.arbitrate(t, &requesting) {
+            let requesting = if mask == 0 { 0xff } else { LaneWord::from(mask) };
+            let mut grants = [IterGrant::Wait; 8];
+            ccb.arbitrate_into(t, requesting, &mut grants);
+            for g in grants {
                 if let IterGrant::Iter(i) = g {
                     granted.push(i);
                 }
