@@ -20,21 +20,21 @@
 //!   (seconds instead of minutes); `--audit` prints the invariant-audit
 //!   report and exits nonzero on violations; `--out DIR` additionally
 //!   writes `report.txt`, `comparison.md` and `study.json` under DIR.
-//! * `bench` — measure simulation throughput and update
-//!   `BENCH_throughput.json` at the repo root (`current` key;
-//!   `--as-baseline` rewrites `baseline` too; a binary built with
-//!   `--features audit` records under the `audited` key instead).
-//!   The harness is CoV-adaptive: each mounted state is re-timed until the
-//!   windows' rates agree to within `--cov-threshold` (default 0.03, i.e.
-//!   3%) or `--max-windows` (default 12) windows have run; the JSON gains
-//!   per-kernel `*_cov` fields and a total `bench_windows` count alongside
-//!   the rates, so every committed number carries its own noise bound.
-//!   `--check-regression` measures but does **not** rewrite the file: it
-//!   exits nonzero if a mounted-state rate fell below its tolerance,
-//!   skipping (with a warning) any state whose fresh measurement never
-//!   settled under the CoV threshold — a noisy runner must not fail the
-//!   canary spuriously. CI's `bench-smoke` job runs this to catch
-//!   throughput regressions.
+//! * `bench` — measure simulation throughput and upsert the rows into the
+//!   ledger `BENCH_throughput.json` at the repo root (the `current` set;
+//!   `--as-baseline` writes `baseline` instead; a binary built with
+//!   `--features audit` writes `audited`). Rows the run did not measure,
+//!   such as the hammer's `serve` rows, stay as they were. The harness is
+//!   CoV-adaptive: each mounted state is re-timed until the windows' rates
+//!   agree to within 3% or 12 windows have run, and each `kernel` row
+//!   carries that CoV and window count, so every committed rate carries
+//!   its own noise bound. `--check-regression` measures but does **not**
+//!   rewrite the file: it prints the committed and fresh rows and exits
+//!   nonzero if a `kernel` rate fell below its tolerance or its committed
+//!   row is missing, skipping (with a warning) any state whose fresh
+//!   measurement never settled under the CoV threshold — a noisy runner
+//!   must not fail the canary spuriously. CI's `bench-smoke` job runs this
+//!   to catch throughput regressions.
 //! * `scale` — the scaling study the paper couldn't run: one complete
 //!   study per cluster width (default widths 2 4 8 16 32 64, override with
 //!   `--widths 2,8,64`), printed as C_w/P_c/missrate/bus-utilization
@@ -51,9 +51,10 @@
 //!   `POST /v1/shutdown` drains it.
 //! * `hammer` — load-test an in-process server: one cold job to populate
 //!   the cache, then `--concurrency` clients × `--requests` warm requests
-//!   each; prints p50 latency and req/s and (unless `--no-record`) records
-//!   them into `BENCH_throughput.json`. Exits nonzero if the warm-hit rate
-//!   falls below 90% or any 5xx was served — CI's serve-smoke gate.
+//!   each; prints p50 latency and req/s and (unless `--no-record`) upserts
+//!   them as the `serve` rows of `BENCH_throughput.json`. Exits nonzero if
+//!   the warm-hit rate falls below 90% or any 5xx was served — CI's
+//!   serve-smoke gate.
 //!
 //! `run` and `scale` memoize session results in a content-addressed cache
 //! (the simulator is bit-deterministic, so a session result is a pure
@@ -98,8 +99,7 @@ fn usage() -> &'static str {
      \n\
      reproduce run     [--quick] [--audit] [--out DIR] [cache flags] [IDS...]\n\
      reproduce scale   [--quick] [--widths LIST] [--json FILE] [cache flags]\n\
-     reproduce bench   [--as-baseline | --check-regression] \
-     [--cov-threshold F] [--max-windows N]\n\
+     reproduce bench   [--as-baseline | --check-regression]\n\
      reproduce serve   [--addr HOST:PORT] [--queue-depth N] [--workers N] \
      [cache flags]\n\
      reproduce hammer  [--quick] [--requests N] [--concurrency N] [--no-record]\n\
@@ -213,7 +213,6 @@ enum Cmd {
     Bench {
         as_baseline: bool,
         check_regression: bool,
-        opts: throughput::BenchOptions,
     },
     Scale {
         quick: bool,
@@ -268,26 +267,13 @@ fn parse_run(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
     Ok(Cmd::Run(args))
 }
 
-fn parse_bench(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
+fn parse_bench(argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
     let mut as_baseline = false;
     let mut check_regression = false;
-    let mut opts = throughput::BenchOptions::default();
-    while let Some(a) = argv.next() {
+    for a in argv {
         match a.as_str() {
             "--as-baseline" => as_baseline = true,
             "--check-regression" => check_regression = true,
-            "--cov-threshold" => {
-                let v = argv.next().ok_or("--cov-threshold requires a fraction")?;
-                opts.cov_threshold = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--cov-threshold: not a number: {v}"))?;
-            }
-            "--max-windows" => {
-                let v = argv.next().ok_or("--max-windows requires a number")?;
-                opts.max_windows = v
-                    .parse::<u32>()
-                    .map_err(|_| format!("--max-windows: not a number: {v}"))?;
-            }
             "--help" | "-h" => return Ok(Cmd::Help),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
@@ -301,7 +287,6 @@ fn parse_bench(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
     Ok(Cmd::Bench {
         as_baseline,
         check_regression,
-        opts,
     })
 }
 
@@ -469,38 +454,44 @@ fn parse_cmd() -> Result<Cmd, String> {
     }
 }
 
-/// Measure throughput against the committed `current` entry without
-/// rewriting the file. Fails if any mounted-state rate dropped below its
-/// tolerance: the loop rate guards the dense stepper, the idle / serial /
-/// join-wait rates guard the fast-forward engine. The verdicts come from
-/// [`throughput::regression_outcomes`]; this function only narrates them.
-/// Two kinds of state are reported but never gated: a fresh measurement
-/// that never settled under the CoV threshold (windows disagree too much
-/// for an 8% comparison to mean anything), and a committed rate that is
-/// zero or non-finite (a file written before that kernel's engine existed
-/// carries no baseline — gating against a 0.0 floor would vacuously pass
-/// everything and hide the missing number).
-fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode {
+/// Measure throughput against the committed `current` rows without
+/// rewriting the file. Fails if any `kernel` rate dropped below its
+/// tolerance or has no committed row: the loop rate guards the dense
+/// stepper, the idle / serial / join-wait rates guard the fast-forward
+/// engine. The verdicts come from [`throughput::regression_outcomes`];
+/// this function only narrates them. Two kinds of state are reported but
+/// never gated: a fresh measurement that never settled under the CoV
+/// threshold (windows disagree too much for an 8% comparison to mean
+/// anything), and a committed rate that is zero or non-finite (gating
+/// against a 0.0 floor would vacuously pass everything).
+fn run_check_regression() -> ExitCode {
+    let path = throughput::LEDGER_PATH;
     let committed = match throughput::load(path) {
-        Ok(f) => f.current,
+        Ok(ledger) => ledger.current,
         Err(e) => {
             eprintln!("reproduce: {e}; nothing to check against");
             return ExitCode::FAILURE;
         }
     };
     eprintln!("measuring simulation throughput for regression check...");
-    let fresh = throughput::measure(1.0, StudyConfig::quick(), opts);
+    let fresh = throughput::measure(1.0, StudyConfig::quick());
     print!("{}", throughput::render("committed", &committed));
     print!("{}", throughput::render("fresh", &fresh));
     let tol_pct = (throughput::REGRESSION_TOLERANCE * 100.0) as u32;
-    let mut regressed = false;
-    for o in throughput::regression_outcomes(&committed, &fresh, opts.cov_threshold) {
+    let mut failed = false;
+    for o in throughput::regression_outcomes(&committed, &fresh) {
         let name = o.kernel;
         match o.verdict {
+            throughput::GateVerdict::Missing => {
+                eprintln!(
+                    "MISSING: {path} has no committed kernel/{name} row to gate against; \
+                     re-run `reproduce bench` to record it"
+                );
+                failed = true;
+            }
             throughput::GateVerdict::SkippedNoBaseline => {
                 eprintln!(
                     "NOTE: no regression gate for {name}: committed rate is {} — \
-                     the committed file predates this kernel's measurement; \
                      re-run `reproduce bench` to record a baseline",
                     o.committed_rate,
                 );
@@ -511,7 +502,7 @@ fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode
                      (CoV {:.1}% >= threshold {:.1}%) — runner too noisy for a {tol_pct}% \
                      comparison",
                     o.fresh_cov * 100.0,
-                    opts.cov_threshold * 100.0,
+                    throughput::COV_THRESHOLD * 100.0,
                 );
             }
             throughput::GateVerdict::Regressed => {
@@ -520,7 +511,7 @@ fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode
                      {:.0} ({tol_pct}% under the committed {:.0})",
                     o.fresh_rate, o.floor, o.committed_rate,
                 );
-                regressed = true;
+                failed = true;
             }
             throughput::GateVerdict::Ok => {
                 eprintln!(
@@ -533,30 +524,49 @@ fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode
             }
         }
     }
-    if regressed {
+    if failed {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }
 
-/// Measure throughput and merge into `BENCH_throughput.json` at the repo root.
-fn run_bench_json(as_baseline: bool, opts: &throughput::BenchOptions) -> ExitCode {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
+/// Measure throughput and upsert the rows into the ledger at the repo
+/// root: into `audited` for an audit build, else `baseline` or `current`.
+fn run_bench_json(as_baseline: bool) -> ExitCode {
+    let path = throughput::LEDGER_PATH;
+    let mut ledger = match throughput::load_or_empty(path) {
+        Ok(l) => l,
+        Err(e) => {
+            eprintln!("reproduce: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     eprintln!("measuring simulation throughput (idle / serial / loop / ff loop / quick study)...");
-    let current = throughput::measure(1.0, StudyConfig::quick(), opts);
-    let previous = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<throughput::BenchFile>(&s).ok());
-    let file = throughput::merge(previous, current, as_baseline, cfg!(feature = "audit"));
-    print!("{}", throughput::render("baseline", &file.baseline));
-    print!("{}", throughput::render("current", &file.current));
-    if let Some(aud) = &file.audited {
-        print!("{}", throughput::render("audited", aud));
+    let set = if cfg!(feature = "audit") {
+        &mut ledger.audited
+    } else if as_baseline {
+        &mut ledger.baseline
+    } else {
+        &mut ledger.current
+    };
+    let rows = throughput::measure(1.0, StudyConfig::quick());
+    let windows = throughput::bench_windows(&rows);
+    throughput::merge(set, rows);
+    for (label, rows) in [
+        ("baseline", &ledger.baseline),
+        ("current", &ledger.current),
+        ("audited", &ledger.audited),
+    ] {
+        if !rows.is_empty() {
+            print!("{}", throughput::render(label, rows));
+        }
     }
-    println!("loop speedup over baseline: {:.2}x", file.loop_speedup);
-    let json = serde_json::to_string(&file).expect("bench file serializes");
-    if let Err(e) = std::fs::write(path, json + "\n") {
-        eprintln!("failed to write {path}: {e}");
+    println!("windows: {windows}");
+    if let Some(speedup) = ledger.loop_speedup() {
+        println!("loop speedup over baseline: {speedup:.2}x");
+    }
+    if let Err(e) = ledger.save(path) {
+        eprintln!("{e}");
         return ExitCode::FAILURE;
     }
     eprintln!("wrote {path}");
@@ -880,8 +890,8 @@ fn cmd_serve(cfg: ServeConfig, cache_opts: CacheOpts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Load-test an in-process server and (unless `--no-record`) fold the
-/// serve numbers into `BENCH_throughput.json`. Exits nonzero if a CI gate
+/// Load-test an in-process server and (unless `--no-record`) upsert the
+/// `serve` rows of `BENCH_throughput.json`. Exits nonzero if a CI gate
 /// (warm-hit rate, 5xx) fails.
 fn cmd_hammer(opts: hammer::HammerOptions, record: bool) -> ExitCode {
     let report = match hammer::run(&opts) {
@@ -898,7 +908,7 @@ fn cmd_hammer(opts: hammer::HammerOptions, record: bool) -> ExitCode {
         report.warm_p50_ms, report.req_per_s, report.warm_hit_rate, report.responses_5xx
     );
     if record {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
+        let path = throughput::LEDGER_PATH;
         match hammer::record(path, &report) {
             Ok(()) => eprintln!("recorded serve numbers into {path}"),
             Err(e) => {
@@ -934,19 +944,11 @@ fn main() -> ExitCode {
         Cmd::Bench {
             as_baseline,
             check_regression,
-            opts,
         } => {
-            // The typed validation path: bad knob values exit 2 with a
-            // one-line diagnostic naming the field, like any other
-            // configuration error.
-            if let Err(e) = opts.validate() {
-                return config_error(e);
-            }
             if check_regression {
-                let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-                run_check_regression(path, &opts)
+                run_check_regression()
             } else {
-                run_bench_json(as_baseline, &opts)
+                run_bench_json(as_baseline)
             }
         }
         Cmd::Scale {

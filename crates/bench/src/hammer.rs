@@ -9,7 +9,7 @@
 //! 5xx count). CI's serve-smoke job runs this and fails on a cold-path
 //! regression dressed up as a cache.
 
-use crate::throughput;
+use crate::throughput::{self, Row};
 use fx8_core::api::{JobState, JobStatus};
 use fx8_core::cache::SessionCache;
 use fx8_serve::{client, ServeConfig, Server};
@@ -220,18 +220,19 @@ pub fn run(opts: &HammerOptions) -> Result<HammerReport, String> {
     })
 }
 
-/// Record the hammer's serve numbers into `BENCH_throughput.json` at
-/// `path`, preserving everything else in the file. Requires an existing
-/// bench file (run `reproduce bench` first) so the serve numbers never
-/// ride alone on zeroed kernel rates.
+/// Record the hammer's serve rows into the ledger at `path`: upsert
+/// `serve/warm_p50` and `serve/req_per_s` into `current`, keeping every
+/// other row. A missing file starts as an empty ledger.
 pub fn record(path: &str, report: &HammerReport) -> Result<(), String> {
-    let mut file = throughput::load(path).map_err(|e| {
-        format!("{e}; run `reproduce bench` first so the hammer has a file to update")
-    })?;
-    file.current.serve_warm_p50_ms = report.warm_p50_ms;
-    file.current.serve_req_per_s = report.req_per_s;
-    let json = serde_json::to_string(&file).expect("bench file serializes");
-    std::fs::write(path, json + "\n").map_err(|e| format!("failed to write {path}: {e}"))
+    let mut ledger = throughput::load_or_empty(path).map_err(|e| e.to_string())?;
+    throughput::merge(
+        &mut ledger.current,
+        vec![
+            Row::once("serve", "warm_p50", "ms", report.warm_p50_ms),
+            Row::once("serve", "req_per_s", "req/s", report.req_per_s),
+        ],
+    );
+    ledger.save(path)
 }
 
 #[cfg(test)]
@@ -258,6 +259,42 @@ mod tests {
         assert_eq!(failures.len(), 2);
         assert!(failures[0].contains("90%"));
         assert!(failures[1].contains("5xx"));
+    }
+
+    #[test]
+    fn record_upserts_into_missing_or_partial_file() {
+        let path = std::env::temp_dir().join(format!("fx8_hammer_{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        let report = HammerReport {
+            cold_wall_s: 1.0,
+            warm_p50_ms: 2.0,
+            req_per_s: 100.0,
+            warm_hit_rate: 1.0,
+            responses_5xx: 0,
+            warm_requests: 4,
+        };
+        // No file yet: the record creates one holding only the serve rows.
+        record(path, &report).unwrap();
+        let mut ledger = throughput::load(path).unwrap();
+        assert_eq!(ledger.current.len(), 2);
+        // A later record keeps the kernel rows a bench run wrote.
+        let kernel = Row::once("kernel", "loop", "cycles/s", 5.0e6);
+        throughput::merge(&mut ledger.current, vec![kernel.clone()]);
+        ledger.save(path).unwrap();
+        record(
+            path,
+            &HammerReport {
+                warm_p50_ms: 3.0,
+                ..report
+            },
+        )
+        .unwrap();
+        let ledger = throughput::load(path).unwrap();
+        assert_eq!(ledger.current.len(), 3);
+        assert_eq!(ledger.current[2], kernel);
+        let p50 = throughput::find(&ledger.current, "serve", "warm_p50").unwrap();
+        assert_eq!(p50.value, 3.0);
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

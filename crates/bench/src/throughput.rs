@@ -1,102 +1,126 @@
-//! Simulation-throughput measurement: cycles simulated per wall-clock
-//! second for the machine states the workload alternates between (plus a
-//! skip-heavy join-wait loop that showcases event-horizon fast-forward),
-//! each state's `cycles_skipped / cycles_total` skip ratio, and the wall
-//! time of a full quick study.
+//! Simulation-throughput measurement and the performance ledger.
 //!
-//! This is the perf trajectory of the repository: `reproduce bench`
-//! writes the numbers to `BENCH_throughput.json` at the repo root under a
-//! `current` key, preserving the committed `baseline` so speedups and
-//! regressions stay visible across PRs (`--as-baseline` rewrites the
-//! baseline too). The `throughput` bench prints the same measurements.
+//! [`measure`] times cycles simulated per wall-clock second for the
+//! machine states the workload alternates between (plus a skip-heavy
+//! join-wait loop that showcases event-horizon fast-forward), each state's
+//! engine split (skip and dense ratios), and the wall time of a quick
+//! study, cold and against a warm session cache. It returns them as
+//! ledger [`Row`]s.
+//!
+//! The ledger is the perf trajectory of the repository:
+//! `BENCH_throughput.json` at the repo root holds three row sets,
+//! `baseline`, `current` and `audited`. `reproduce bench` upserts its rows
+//! into `current` (`--as-baseline`: into `baseline`; a binary built with
+//! the `audit` feature: into `audited`), `reproduce hammer` upserts the
+//! `serve` rows, and rows a run did not measure stay as they were.
+//! `reproduce bench --check-regression` gates every fresh `kernel` row
+//! against the committed `current` one.
 
 use fx8_core::cache::SessionCache;
 use fx8_core::scale::{ScaleConfig, ScaleStudy};
 use fx8_core::study::{Study, StudyConfig};
-use fx8_sim::{Cluster, ConfigError, MachineConfig};
+use fx8_sim::{Cluster, MachineConfig};
 use fx8_workload::{kernels, WorkloadMix};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use std::time::Instant;
 
-/// One set of throughput measurements.
+/// `BENCH_throughput.json` at the repo root: the committed ledger.
+pub const LEDGER_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
+
+/// One ledger row: a named figure of one layer of the stack.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputNumbers {
-    /// Cycles/sec with no process mounted (IP background traffic only).
-    pub idle_cycles_per_sec: f64,
-    /// Cycles/sec with a serial process on CE 0.
-    pub serial_cycles_per_sec: f64,
-    /// Cycles/sec with a full-width concurrent loop running.
-    pub loop_cycles_per_sec: f64,
-    /// Cycles/sec with the dependence-bound join-wait loop running — the
-    /// fast-forward engine's best case among mounted workloads, where one
-    /// CE computes the critical section while seven wait on the CCB.
-    pub ff_loop_cycles_per_sec: f64,
-    /// `cycles_skipped / cycles_total` for the idle measurement.
-    pub idle_skip_ratio: f64,
-    /// `cycles_skipped / cycles_total` for the serial measurement.
-    pub serial_skip_ratio: f64,
-    /// `cycles_skipped / cycles_total` for the full-width loop measurement.
-    pub loop_skip_ratio: f64,
-    /// `cycles_skipped / cycles_total` for the join-wait loop measurement.
-    pub ff_loop_skip_ratio: f64,
-    /// `cycles_dense / cycles_total` for the full-width loop measurement:
-    /// the fraction of the busy loop regime that ran through the dense SoA
-    /// batch stepper instead of the scalar per-cycle stepper.
-    pub dense_ratio: f64,
-    /// Coefficient of variation (stddev/mean) across the idle timing
-    /// windows — how noisy the runner was while this number was taken.
-    pub idle_cov: f64,
-    /// CoV across the serial timing windows.
-    pub serial_cov: f64,
-    /// CoV across the full-width loop timing windows.
-    pub loop_cov: f64,
-    /// CoV across the join-wait loop timing windows.
-    pub ff_loop_cov: f64,
-    /// Total timing windows the adaptive harness ran across the four
-    /// mounted states (minimum [`MIN_WINDOWS`] each; more when the rates
-    /// would not settle under the CoV threshold).
-    pub bench_windows: u64,
-    /// Wall time of `Study::run(StudyConfig::quick())`, seconds.
-    pub quick_study_wall_s: f64,
-    /// Wall time of an *identical* quick study rerun against a warm
-    /// session result cache, seconds: every session hits, so this is the
-    /// cache's assembly-and-lookup floor.
-    pub quick_study_warm_wall_s: f64,
-    /// Wall time of an incremental width sweep ({2, base width}) against
-    /// the same warm cache, seconds: the base width's sessions all hit and
-    /// only width 2 computes, so this approximates the cost of *adding one
-    /// width* to an already-swept grid.
-    pub scale_sweep_wall_s: f64,
-    /// Median client-observed latency (ms) of a warm-cache job round-trip
-    /// (POST + long-poll) against the `fx8-serve` HTTP server, as measured
-    /// by `reproduce hammer`. `0.0` means "not measured": `reproduce
-    /// bench` doesn't run the hammer, and [`merge`] carries the previous
-    /// value forward instead of zeroing it.
-    pub serve_warm_p50_ms: f64,
-    /// Warm-cache job requests completed per second across the hammer's
-    /// concurrent clients. `0.0` means "not measured", same rules.
-    pub serve_req_per_s: f64,
+pub struct Row {
+    /// Layer the figure measures: `kernel`, `engine`, `study`, `cache` or
+    /// `serve`.
+    pub layer: String,
+    /// Figure name, unique within its layer.
+    pub name: String,
+    /// Unit of `value`: `cycles/s`, `ratio`, `s`, `ms` or `req/s`.
+    pub unit: String,
+    /// The figure.
+    pub value: f64,
+    /// Coefficient of variation (population stddev / mean) of the `n`
+    /// samples behind `value`; 0 for a single sample.
+    pub cov: f64,
+    /// Samples behind `value`: timing windows for a `kernel` row, 1 for a
+    /// figure taken once.
+    pub n: u64,
+}
+
+impl Row {
+    /// A figure taken once, so with no spread estimate.
+    pub fn once(layer: &str, name: &str, unit: &str, value: f64) -> Row {
+        Row {
+            layer: layer.into(),
+            name: name.into(),
+            unit: unit.into(),
+            value,
+            cov: 0.0,
+            n: 1,
+        }
+    }
+}
+
+/// The row keyed `(layer, name)` in `rows`.
+pub fn find<'a>(rows: &'a [Row], layer: &str, name: &str) -> Option<&'a Row> {
+    rows.iter().find(|r| r.layer == layer && r.name == name)
+}
+
+/// Upsert `rows` into the row set `set` by `(layer, name)`: each row
+/// replaces the stored row with its key or is appended, and stored rows
+/// that `rows` does not name stay as they are.
+pub fn merge(set: &mut Vec<Row>, rows: Vec<Row>) {
+    for row in rows {
+        match set
+            .iter_mut()
+            .find(|r| r.layer == row.layer && r.name == row.name)
+        {
+            Some(slot) => *slot = row,
+            None => set.push(row),
+        }
+    }
+}
+
+/// Timing windows behind the `kernel` rows of `rows`.
+pub fn bench_windows(rows: &[Row]) -> u64 {
+    rows.iter()
+        .filter(|r| r.layer == "kernel")
+        .map(|r| r.n)
+        .sum()
 }
 
 /// The persisted `BENCH_throughput.json` contents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchFile {
-    /// Measurement taken before the zero-allocation stepper landed.
-    pub baseline: ThroughputNumbers,
-    /// Measurement for the current tree.
-    pub current: ThroughputNumbers,
-    /// `current.loop_cycles_per_sec / baseline.loop_cycles_per_sec`.
-    pub loop_speedup: f64,
-    /// Measurement with the `audit` feature compiled in, if one has been
-    /// taken — the overhead record that shows feature-off throughput is
-    /// untouched by the invariant auditor.
-    pub audited: Option<ThroughputNumbers>,
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Ledger {
+    /// Rows of the reference measurement.
+    pub baseline: Vec<Row>,
+    /// Rows of the current tree.
+    pub current: Vec<Row>,
+    /// Rows of an audit build.
+    pub audited: Vec<Row>,
+}
+
+impl Ledger {
+    /// The current `kernel/loop` rate over the baseline one; `None` while
+    /// either row is absent or the baseline rate is not positive.
+    pub fn loop_speedup(&self) -> Option<f64> {
+        let base = find(&self.baseline, "kernel", "loop")?.value;
+        let cur = find(&self.current, "kernel", "loop")?.value;
+        (base > 0.0).then(|| cur / base)
+    }
+
+    /// Write the ledger to `path` as one line of JSON.
+    pub fn save(&self, path: &str) -> Result<(), String> {
+        let json = serde_json::to_string(self).expect("ledger serializes");
+        std::fs::write(path, json + "\n").map_err(|e| format!("failed to write {path}: {e}"))
+    }
 }
 
 /// Why a committed `BENCH_throughput.json` could not be loaded: the file
-/// is absent/unreadable, or it read fine but does not parse as a bench
-/// file (malformed JSON, or a kernel entry missing — the deserializer
-/// names the absent field). The regression gate reports these as ordinary
+/// is absent/unreadable, or it read fine but does not parse as a ledger
+/// (malformed JSON, or a row set missing — the deserializer names the
+/// absent field). The regression gate reports these as ordinary
 /// diagnostics instead of panicking.
 #[derive(Debug)]
 pub enum BenchLoadError {
@@ -111,7 +135,7 @@ pub enum BenchLoadError {
     Parse {
         /// Path the gate read.
         path: String,
-        /// What the parser rejected (e.g. `missing field loop_cycles_per_sec`).
+        /// What the parser rejected (e.g. `missing field Ledger.current`).
         detail: String,
     },
 }
@@ -138,17 +162,29 @@ impl std::error::Error for BenchLoadError {
     }
 }
 
-/// Load a committed bench file, distinguishing a missing/unreadable file
-/// from one that is present but malformed or lacks a kernel entry.
-pub fn load(path: &str) -> Result<BenchFile, BenchLoadError> {
+/// Load a committed ledger, distinguishing a missing/unreadable file from
+/// one that is present but malformed.
+pub fn load(path: &str) -> Result<Ledger, BenchLoadError> {
     let text = std::fs::read_to_string(path).map_err(|source| BenchLoadError::Io {
         path: path.to_string(),
         source,
     })?;
-    serde_json::from_str::<BenchFile>(&text).map_err(|e| BenchLoadError::Parse {
+    serde_json::from_str::<Ledger>(&text).map_err(|e| BenchLoadError::Parse {
         path: path.to_string(),
         detail: e.to_string(),
     })
+}
+
+/// [`load`] for a writer: a file that does not exist yet is an empty
+/// ledger, so the first run creates it; a malformed file is still an
+/// error rather than something to overwrite.
+pub fn load_or_empty(path: &str) -> Result<Ledger, BenchLoadError> {
+    match load(path) {
+        Err(BenchLoadError::Io { source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
+            Ok(Ledger::default())
+        }
+        other => other,
+    }
 }
 
 /// A cluster with only IP background traffic.
@@ -210,23 +246,14 @@ pub fn join_wait_cluster(seed: u64) -> Cluster {
     c
 }
 
-/// `cycles_skipped / cycles_total` over everything `cluster` has run.
-pub fn skip_ratio(cluster: &Cluster) -> f64 {
-    let (skipped, total) = cluster.skip_counters();
+/// `part / total` of a `(part, total)` cycle counter pair such as
+/// [`Cluster::skip_counters`] or [`Cluster::dense_counters`]; 0 before any
+/// cycle ran.
+pub fn share((part, total): (u64, u64)) -> f64 {
     if total == 0 {
         0.0
     } else {
-        skipped as f64 / total as f64
-    }
-}
-
-/// `cycles_dense / cycles_total` over everything `cluster` has run.
-pub fn dense_ratio(cluster: &Cluster) -> f64 {
-    let (dense, total) = cluster.dense_counters();
-    if total == 0 {
-        0.0
-    } else {
-        dense as f64 / total as f64
+        part as f64 / total as f64
     }
 }
 
@@ -240,17 +267,18 @@ pub fn dense_ratio(cluster: &Cluster) -> f64 {
 /// disagree.
 pub const MIN_WINDOWS: u32 = 3;
 
-/// Default coefficient-of-variation target: windows are re-run until the
-/// spread of rates falls under 3% of their mean (or the window cap bites),
-/// so a committed number carries a quantified noise bound instead of
-/// hoping three windows happened to land in quiet time.
-pub const DEFAULT_COV_THRESHOLD: f64 = 0.03;
+/// Coefficient-of-variation target: windows are re-run until the spread
+/// of rates falls under 3% of their mean (or the window cap bites), so a
+/// committed number carries a quantified noise bound instead of hoping
+/// three windows happened to land in quiet time. The regression gate
+/// skips a kernel whose fresh CoV is at or above it.
+pub const COV_THRESHOLD: f64 = 0.03;
 
-/// Default cap on timing windows per mounted state: 4x the minimum bench
-/// time bounds the worst case on a hopelessly noisy runner, where the
-/// recorded CoV (still above threshold) tells the consumer not to trust a
-/// tight comparison.
-pub const DEFAULT_MAX_WINDOWS: u32 = 12;
+/// Cap on timing windows per mounted state: 4x the minimum bench time
+/// bounds the worst case on a hopelessly noisy runner, where the recorded
+/// CoV (still above threshold) tells the consumer not to trust a tight
+/// comparison.
+pub const MAX_WINDOWS: u32 = 12;
 
 /// Mixed-regime detection band. A kernel whose warmup slice skipped a
 /// fraction of cycles strictly inside `(SKIP_MIX_LO, SKIP_MIX_HI)`
@@ -274,57 +302,16 @@ pub const SKIP_MIX_HI: f64 = 0.98;
 /// average more skip/step alternations into the rescaling mix.
 pub const SKIP_MIX_WINDOW_SCALE: f64 = 4.0;
 
-/// Knobs for the CoV-adaptive measurement harness, validated through the
-/// same typed error chain as the machine configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BenchOptions {
-    /// Stop re-running windows once their rates' CoV falls below this.
-    pub cov_threshold: f64,
-    /// Hard cap on windows per mounted state.
-    pub max_windows: u32,
-}
-
-impl Default for BenchOptions {
-    fn default() -> Self {
-        BenchOptions {
-            cov_threshold: DEFAULT_COV_THRESHOLD,
-            max_windows: DEFAULT_MAX_WINDOWS,
-        }
-    }
-}
-
-impl BenchOptions {
-    /// Check the knobs are usable: the threshold must be a fraction in
-    /// `(0, 1)` and the cap must leave room for the minimum windows.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if !(self.cov_threshold > 0.0 && self.cov_threshold < 1.0) {
-            return Err(ConfigError::out_of_range(
-                "bench.cov_threshold",
-                self.cov_threshold,
-                "must be a fraction in (0, 1), e.g. 0.03 for 3%",
-            ));
-        }
-        if self.max_windows < MIN_WINDOWS {
-            return Err(ConfigError::out_of_range(
-                "bench.max_windows",
-                self.max_windows,
-                format!("must be at least the minimum window count {MIN_WINDOWS}"),
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// One adaptive rate measurement: the best window's rate plus how noisy
 /// the windows were and how many it took to get there.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunMeasurement {
+struct RunMeasurement {
     /// Best window's cycles/sec.
-    pub rate: f64,
+    rate: f64,
     /// Coefficient of variation (population stddev / mean) of all windows.
-    pub cov: f64,
+    cov: f64,
     /// Windows actually run (`MIN_WINDOWS ..= max_windows`).
-    pub windows: u32,
+    windows: u32,
 }
 
 /// Coefficient of variation of a window-rate sample; 0 for degenerate
@@ -345,14 +332,16 @@ fn cov_of(rates: &[f64]) -> f64 {
 /// Cycles/sec of `Cluster::run` on `cluster`, CoV-adaptive: at least
 /// [`MIN_WINDOWS`] timing windows of `min_wall_s / MIN_WINDOWS` seconds
 /// each (stepped in `chunk`-cycle slices), re-running until the windows'
-/// rates agree to within `opts.cov_threshold` or `opts.max_windows` is
-/// reached. Reports the best rate (see [`MIN_WINDOWS`] for why max, not
-/// mean) alongside the achieved CoV and window count.
-pub fn measure_run_adaptive(
+/// rates agree to within `cov_threshold` or `max_windows` is reached
+/// ([`measure`] passes [`COV_THRESHOLD`] and [`MAX_WINDOWS`]). Reports the
+/// best rate (see [`MIN_WINDOWS`] for why max, not mean) alongside the
+/// achieved CoV and window count.
+fn measure_run_adaptive(
     cluster: &mut Cluster,
     chunk: u64,
     min_wall_s: f64,
-    opts: &BenchOptions,
+    cov_threshold: f64,
+    max_windows: u32,
 ) -> RunMeasurement {
     let base_window_s = min_wall_s / MIN_WINDOWS as f64;
     // Untimed warmup window: warms the host caches and branch predictors
@@ -400,7 +389,7 @@ pub fn measure_run_adaptive(
         };
         rates.push(rate);
         let n = rates.len() as u32;
-        if n >= opts.max_windows || (n >= MIN_WINDOWS && cov_of(&rates) < opts.cov_threshold) {
+        if n >= max_windows || (n >= MIN_WINDOWS && cov_of(&rates) < cov_threshold) {
             break;
         }
     }
@@ -425,22 +414,41 @@ pub fn measure_run_adaptive(
     }
 }
 
-/// Measure every throughput number, including each mounted state's
-/// fast-forward skip ratio, under the CoV-harness knobs `opts`
-/// (`reproduce bench --cov-threshold / --max-windows` end up here).
-/// `min_wall_s` bounds the timing window per machine state; `study_cfg`
-/// is the study timed for the last number (`StudyConfig::quick()` for
-/// the persisted measurements — smoke tests pass something smaller).
-pub fn measure(min_wall_s: f64, study_cfg: StudyConfig, opts: &BenchOptions) -> ThroughputNumbers {
+/// Measure every ledger row `reproduce bench` writes: the four mounted
+/// states' `kernel` rates with their window CoV and count, each state's
+/// fast-forward skip ratio and the loop's dense ratio (`engine`), and the
+/// `study` and `cache` walls. `min_wall_s` bounds the timing window per
+/// machine state; `study_cfg` is the study timed for the walls
+/// (`StudyConfig::quick()` for the persisted measurements — smoke tests
+/// pass something smaller).
+pub fn measure(min_wall_s: f64, study_cfg: StudyConfig) -> Vec<Row> {
     const CHUNK: u64 = 100_000;
-    let mut idle = idle_cluster(1);
-    let mut serial = serial_cluster(2);
-    let mut looped = loop_cluster(3);
-    let mut ff_loop = join_wait_cluster(4);
-    let idle_m = measure_run_adaptive(&mut idle, CHUNK, min_wall_s, opts);
-    let serial_m = measure_run_adaptive(&mut serial, CHUNK, min_wall_s, opts);
-    let loop_m = measure_run_adaptive(&mut looped, CHUNK, min_wall_s, opts);
-    let ff_loop_m = measure_run_adaptive(&mut ff_loop, CHUNK, min_wall_s, opts);
+    let mut states = [
+        ("idle", idle_cluster(1)),
+        ("serial", serial_cluster(2)),
+        ("loop", loop_cluster(3)),
+        ("ff_loop", join_wait_cluster(4)),
+    ];
+    let mut rows = Vec::new();
+    for (name, cluster) in &mut states {
+        let m = measure_run_adaptive(cluster, CHUNK, min_wall_s, COV_THRESHOLD, MAX_WINDOWS);
+        rows.push(Row {
+            cov: m.cov,
+            n: u64::from(m.windows),
+            ..Row::once("kernel", name, "cycles/s", m.rate)
+        });
+    }
+    for (name, c) in &states {
+        rows.push(Row::once(
+            "engine",
+            &format!("{name}_skip"),
+            "ratio",
+            share(c.skip_counters()),
+        ));
+    }
+    let loop_dense = share(states[2].1.dense_counters());
+    rows.push(Row::once("engine", "loop_dense", "ratio", loop_dense));
+
     let t0 = Instant::now();
     let study = Study::run(study_cfg.clone());
     let quick_wall = t0.elapsed().as_secs_f64();
@@ -481,137 +489,40 @@ pub fn measure(min_wall_s: f64, study_cfg: StudyConfig, opts: &BenchOptions) -> 
         ScaleStudy::run_cached(&sweep_cfg, Some(&cache)).expect("sweep of a validated study");
     let sweep_wall = t2.elapsed().as_secs_f64();
 
-    ThroughputNumbers {
-        idle_cycles_per_sec: idle_m.rate,
-        serial_cycles_per_sec: serial_m.rate,
-        loop_cycles_per_sec: loop_m.rate,
-        ff_loop_cycles_per_sec: ff_loop_m.rate,
-        idle_skip_ratio: skip_ratio(&idle),
-        serial_skip_ratio: skip_ratio(&serial),
-        loop_skip_ratio: skip_ratio(&looped),
-        ff_loop_skip_ratio: skip_ratio(&ff_loop),
-        dense_ratio: dense_ratio(&looped),
-        idle_cov: idle_m.cov,
-        serial_cov: serial_m.cov,
-        loop_cov: loop_m.cov,
-        ff_loop_cov: ff_loop_m.cov,
-        bench_windows: u64::from(
-            idle_m.windows + serial_m.windows + loop_m.windows + ff_loop_m.windows,
-        ),
-        quick_study_wall_s: quick_wall,
-        quick_study_warm_wall_s: warm_wall,
-        scale_sweep_wall_s: sweep_wall,
-        // The serve numbers come from `reproduce hammer`, not from this
-        // measurement; merge() keeps any previously recorded values.
-        serve_warm_p50_ms: 0.0,
-        serve_req_per_s: 0.0,
-    }
+    rows.push(Row::once("study", "quick_wall", "s", quick_wall));
+    rows.push(Row::once("cache", "warm_wall", "s", warm_wall));
+    rows.push(Row::once("cache", "sweep_wall", "s", sweep_wall));
+    rows
 }
 
-/// Render one measurement as an aligned text block.
-pub fn render(label: &str, n: &ThroughputNumbers) -> String {
-    let mut windows = if n.bench_windows > 0 {
-        format!("  windows: {}\n", n.bench_windows)
-    } else {
-        String::new()
-    };
-    if n.quick_study_warm_wall_s > 0.0 {
-        let _ = std::fmt::Write::write_fmt(
-            &mut windows,
-            format_args!(
-                "  warm study (cache): {:.3} s\n  incr sweep (cache): {:.2} s\n",
-                n.quick_study_warm_wall_s, n.scale_sweep_wall_s
-            ),
+/// Render a row set as a markdown table under `label`.
+pub fn render(label: &str, rows: &[Row]) -> String {
+    let mut out = format!(
+        "{label}:\n\n| layer | name | value | unit | cov | n |\n|---|---|---:|---|---:|---:|\n"
+    );
+    for r in rows {
+        let _ = writeln!(
+            out,
+            "| {} | {} | {} | {} | {:.1}% | {} |",
+            r.layer,
+            r.name,
+            sig4(r.value),
+            r.unit,
+            r.cov * 100.0,
+            r.n
         );
     }
-    if n.serve_warm_p50_ms > 0.0 {
-        let _ = std::fmt::Write::write_fmt(
-            &mut windows,
-            format_args!(
-                "  serve warm p50: {:.2} ms  ({:.0} req/s)\n",
-                n.serve_warm_p50_ms, n.serve_req_per_s
-            ),
-        );
-    }
-    format!(
-        "{label}:\n  idle:    {:>12.0} cycles/s  (skip {:.1}%, cov {:.1}%)\n  serial:  {:>12.0} cycles/s  (skip {:.1}%, cov {:.1}%)\n  loop:    {:>12.0} cycles/s  (skip {:.1}%, dense {:.1}%, cov {:.1}%)\n  ff loop: {:>12.0} cycles/s  (skip {:.1}%, cov {:.1}%)\n{windows}  quick study: {:.2} s\n",
-        n.idle_cycles_per_sec,
-        n.idle_skip_ratio * 100.0,
-        n.idle_cov * 100.0,
-        n.serial_cycles_per_sec,
-        n.serial_skip_ratio * 100.0,
-        n.serial_cov * 100.0,
-        n.loop_cycles_per_sec,
-        n.loop_skip_ratio * 100.0,
-        n.dense_ratio * 100.0,
-        n.loop_cov * 100.0,
-        n.ff_loop_cycles_per_sec,
-        n.ff_loop_skip_ratio * 100.0,
-        n.ff_loop_cov * 100.0,
-        n.quick_study_wall_s
-    )
+    out.push('\n');
+    out
 }
 
-/// Merge a fresh measurement into the bench file: keep the stored baseline
-/// unless `as_baseline` (or no previous file) makes this run the baseline.
-///
-/// An `audited_run` (built with the `audit` feature) records under the
-/// `audited` key and leaves the feature-off trajectory untouched, so the
-/// committed baseline/current numbers always describe the unaudited
-/// stepper; conversely a feature-off run preserves any stored `audited`
-/// measurement.
-pub fn merge(
-    previous: Option<BenchFile>,
-    measured: ThroughputNumbers,
-    as_baseline: bool,
-    audited_run: bool,
-) -> BenchFile {
-    if audited_run {
-        return match previous {
-            Some(prev) => BenchFile {
-                audited: Some(measured),
-                ..prev
-            },
-            // Nothing to preserve: the audited numbers stand in everywhere
-            // until a feature-off run replaces baseline/current.
-            None => BenchFile {
-                baseline: measured.clone(),
-                current: measured.clone(),
-                loop_speedup: 1.0,
-                audited: Some(measured),
-            },
-        };
+/// `v` to four significant digits, without exponent notation.
+fn sig4(v: f64) -> String {
+    if v == 0.0 || !v.is_finite() {
+        return v.to_string();
     }
-    let audited = previous.as_ref().and_then(|p| p.audited.clone());
-    // The hammer's serve numbers ride in a bench file that `reproduce
-    // bench` rewrites without re-measuring them; a fresh 0.0 ("not
-    // measured") must not erase a recorded value.
-    let mut measured = measured;
-    if let Some(prev) = &previous {
-        if measured.serve_warm_p50_ms == 0.0 {
-            measured.serve_warm_p50_ms = prev.current.serve_warm_p50_ms;
-        }
-        if measured.serve_req_per_s == 0.0 {
-            measured.serve_req_per_s = prev.current.serve_req_per_s;
-        }
-    }
-    let baseline = match previous {
-        Some(prev) if !as_baseline => prev.baseline,
-        _ => measured.clone(),
-    };
-    // A zero/absent baseline loop rate (a hand-edited or pre-loop-kernel
-    // file) has no meaningful ratio; record 1.0 instead of inf/NaN.
-    let loop_speedup = if baseline.loop_cycles_per_sec > 0.0 {
-        measured.loop_cycles_per_sec / baseline.loop_cycles_per_sec
-    } else {
-        1.0
-    };
-    BenchFile {
-        baseline,
-        current: measured,
-        loop_speedup,
-        audited,
-    }
+    let decimals = (3 - v.abs().log10().floor() as i32).max(0) as usize;
+    format!("{v:.decimals$}")
 }
 
 /// Allowed shortfall of a fresh measurement against the committed rate
@@ -629,24 +540,26 @@ pub enum GateVerdict {
     Ok,
     /// The fresh rate fell below the tolerance floor.
     Regressed,
+    /// The committed set has no row for this kernel. The gate fails: an
+    /// incomplete committed ledger must be mended, not read as a pass.
+    Missing,
     /// Fresh windows never settled under the CoV threshold: the runner is
     /// too noisy for the comparison to mean anything, so no gate applies.
     SkippedNoisy,
     /// The committed rate is zero or non-finite — nothing to gate
-    /// against. A pre-fast-forward file, for example, carries
-    /// `ff_loop_cycles_per_sec: 0.0` ("not measured"), which naively
-    /// divides/anchors the gate at zero; an absent baseline must read as
-    /// "no gate", not "any rate passes/fails".
+    /// against. A zero floor would pass every fresh rate, so an unusable
+    /// committed row must read as "no gate", not "any rate passes".
     SkippedNoBaseline,
 }
 
 /// One mounted state's gate decision, with everything a caller needs to
 /// print or assert on it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GateOutcome {
-    /// Mounted-state name ("loop", "idle", "serial", "ff_loop").
-    pub kernel: &'static str,
-    /// Committed `current` rate from `BENCH_throughput.json`.
+    /// Name of the `kernel` row ("idle", "serial", "loop", "ff_loop").
+    pub kernel: String,
+    /// Committed `current` rate from `BENCH_throughput.json` (0 when the
+    /// row is missing).
     pub committed_rate: f64,
     /// Freshly measured rate.
     pub fresh_rate: f64,
@@ -659,62 +572,36 @@ pub struct GateOutcome {
     pub verdict: GateVerdict,
 }
 
-/// Gate every mounted state's fresh rate against the committed entry.
-/// Pure and typed so the zero-baseline and noisy-runner paths are unit
-/// testable without timing anything; `reproduce bench --check-regression`
-/// renders the outcomes and maps any [`GateVerdict::Regressed`] to a
-/// failing exit code.
-pub fn regression_outcomes(
-    committed: &ThroughputNumbers,
-    fresh: &ThroughputNumbers,
-    cov_threshold: f64,
-) -> Vec<GateOutcome> {
-    let checks = [
-        (
-            "loop",
-            committed.loop_cycles_per_sec,
-            fresh.loop_cycles_per_sec,
-            fresh.loop_cov,
-        ),
-        (
-            "idle",
-            committed.idle_cycles_per_sec,
-            fresh.idle_cycles_per_sec,
-            fresh.idle_cov,
-        ),
-        (
-            "serial",
-            committed.serial_cycles_per_sec,
-            fresh.serial_cycles_per_sec,
-            fresh.serial_cov,
-        ),
-        (
-            "ff_loop",
-            committed.ff_loop_cycles_per_sec,
-            fresh.ff_loop_cycles_per_sec,
-            fresh.ff_loop_cov,
-        ),
-    ];
-    checks
-        .into_iter()
-        .map(|(kernel, committed_rate, fresh_rate, fresh_cov)| {
-            let (floor, verdict) = if !(committed_rate > 0.0 && committed_rate.is_finite()) {
-                (0.0, GateVerdict::SkippedNoBaseline)
-            } else if fresh_cov >= cov_threshold {
-                (0.0, GateVerdict::SkippedNoisy)
-            } else {
-                let floor = committed_rate * (1.0 - REGRESSION_TOLERANCE);
-                if fresh_rate < floor {
-                    (floor, GateVerdict::Regressed)
-                } else {
-                    (floor, GateVerdict::Ok)
+/// Gate every fresh `kernel` row against the committed row with its key.
+/// Pure and typed so the missing, zero-baseline and noisy-runner paths are
+/// unit testable without timing anything; `reproduce bench
+/// --check-regression` renders the outcomes and maps any
+/// [`GateVerdict::Regressed`] or [`GateVerdict::Missing`] to a failing
+/// exit code.
+pub fn regression_outcomes(committed: &[Row], fresh: &[Row]) -> Vec<GateOutcome> {
+    fresh
+        .iter()
+        .filter(|f| f.layer == "kernel")
+        .map(|f| {
+            let committed_rate = find(committed, "kernel", &f.name).map(|c| c.value);
+            let (floor, verdict) = match committed_rate {
+                None => (0.0, GateVerdict::Missing),
+                Some(c) if !(c > 0.0 && c.is_finite()) => (0.0, GateVerdict::SkippedNoBaseline),
+                Some(_) if f.cov >= COV_THRESHOLD => (0.0, GateVerdict::SkippedNoisy),
+                Some(c) => {
+                    let floor = c * (1.0 - REGRESSION_TOLERANCE);
+                    if f.value < floor {
+                        (floor, GateVerdict::Regressed)
+                    } else {
+                        (floor, GateVerdict::Ok)
+                    }
                 }
             };
             GateOutcome {
-                kernel,
-                committed_rate,
-                fresh_rate,
-                fresh_cov,
+                kernel: f.name.clone(),
+                committed_rate: committed_rate.unwrap_or(0.0),
+                fresh_rate: f.value,
+                fresh_cov: f.cov,
                 floor,
                 verdict,
             }
@@ -726,72 +613,79 @@ pub fn regression_outcomes(
 mod tests {
     use super::*;
 
-    fn numbers(loop_rate: f64) -> ThroughputNumbers {
-        ThroughputNumbers {
-            idle_cycles_per_sec: 1.0,
-            serial_cycles_per_sec: 2.0,
-            loop_cycles_per_sec: loop_rate,
-            ff_loop_cycles_per_sec: 4.0,
-            idle_skip_ratio: 0.9,
-            serial_skip_ratio: 0.5,
-            loop_skip_ratio: 0.1,
-            ff_loop_skip_ratio: 0.8,
-            dense_ratio: 0.7,
-            idle_cov: 0.01,
-            serial_cov: 0.02,
-            loop_cov: 0.015,
-            ff_loop_cov: 0.025,
-            bench_windows: 12,
-            quick_study_wall_s: 3.0,
-            quick_study_warm_wall_s: 0.05,
-            scale_sweep_wall_s: 1.5,
-            serve_warm_p50_ms: 0.0,
-            serve_req_per_s: 0.0,
+    /// A `kernel` row as the harness writes it.
+    fn kernel(name: &str, rate: f64, cov: f64) -> Row {
+        Row {
+            cov,
+            n: 3,
+            ..Row::once("kernel", name, "cycles/s", rate)
         }
     }
 
+    /// The rows of one `reproduce bench` run with loop rate `loop_rate`.
+    fn bench_rows(loop_rate: f64) -> Vec<Row> {
+        vec![
+            kernel("idle", 1.0, 0.01),
+            kernel("serial", 2.0, 0.02),
+            kernel("loop", loop_rate, 0.015),
+            kernel("ff_loop", 4.0, 0.025),
+            Row::once("engine", "loop_dense", "ratio", 0.7),
+            Row::once("study", "quick_wall", "s", 3.0),
+        ]
+    }
+
+    fn serve_rows(p50_ms: f64) -> Vec<Row> {
+        vec![
+            Row::once("serve", "warm_p50", "ms", p50_ms),
+            Row::once("serve", "req_per_s", "req/s", 180.0),
+        ]
+    }
+
+    fn verdict(outcomes: &[GateOutcome], name: &str) -> GateVerdict {
+        outcomes.iter().find(|o| o.kernel == name).unwrap().verdict
+    }
+
+    /// The value of the `layer/name` row of `rows`.
+    fn val(rows: &[Row], key: &str) -> f64 {
+        let (layer, name) = key.split_once('/').unwrap();
+        find(rows, layer, name).unwrap().value
+    }
+
     #[test]
-    fn merge_carries_serve_numbers_past_a_benchless_rewrite() {
-        // The hammer records serve numbers...
-        let mut with_serve = numbers(100.0);
-        with_serve.serve_warm_p50_ms = 4.2;
-        with_serve.serve_req_per_s = 180.0;
-        let file = merge(None, with_serve, false, false);
-        // ...then a plain `reproduce bench` rewrites the file without
-        // measuring them; the recorded values must survive.
-        let rewritten = merge(Some(file), numbers(120.0), false, false);
-        assert_eq!(rewritten.current.serve_warm_p50_ms, 4.2);
-        assert_eq!(rewritten.current.serve_req_per_s, 180.0);
-        // A fresh hammer measurement replaces them.
-        let mut fresh = numbers(120.0);
-        fresh.serve_warm_p50_ms = 2.1;
-        fresh.serve_req_per_s = 300.0;
-        let updated = merge(Some(rewritten), fresh, false, false);
-        assert_eq!(updated.current.serve_warm_p50_ms, 2.1);
+    fn gate_verdicts_cover_regressed_noisy_and_ok() {
+        let committed = bench_rows(100.0);
+        // 8% tolerance: 91.9 < 92.0 floor fails, 92.1 passes.
+        let o = regression_outcomes(&committed, &bench_rows(91.9));
+        let l = o.iter().find(|o| o.kernel == "loop").unwrap();
+        assert_eq!(l.verdict, GateVerdict::Regressed);
+        assert!((l.floor - 92.0).abs() < 1e-9);
+        let o = regression_outcomes(&committed, &bench_rows(92.1));
+        assert_eq!(verdict(&o, "loop"), GateVerdict::Ok);
+        // A noisy fresh measurement is skipped even if the rate dropped.
+        let mut fresh = bench_rows(10.0);
+        fresh[2].cov = 0.25;
+        let o = regression_outcomes(&committed, &fresh);
+        assert_eq!(verdict(&o, "loop"), GateVerdict::SkippedNoisy);
+        // Only kernel rows are gated.
+        assert_eq!(o.len(), 4);
     }
 
     #[test]
     fn zero_baseline_kernel_is_skipped_not_gated() {
-        // The committed file really carried ff_loop_cycles_per_sec: 0.0
-        // (written before the fast-forward engine); the old gate computed
-        // floor = 0 and "passed" every fresh rate against it, and a
-        // speedup ratio against it divides by zero.
-        let mut committed = numbers(100.0);
-        committed.ff_loop_cycles_per_sec = 0.0;
-        let fresh = numbers(100.0);
-        let outcomes = regression_outcomes(&committed, &fresh, 0.03);
+        // A zero committed rate would anchor the floor at zero and "pass"
+        // every fresh rate; it must read as no baseline instead.
+        let mut committed = bench_rows(100.0);
+        committed[3].value = 0.0;
+        let fresh = bench_rows(100.0);
+        let outcomes = regression_outcomes(&committed, &fresh);
         let ff = outcomes.iter().find(|o| o.kernel == "ff_loop").unwrap();
         assert_eq!(ff.verdict, GateVerdict::SkippedNoBaseline);
         assert_eq!(ff.floor, 0.0);
         // NaN/inf committed rates are equally ungateable.
-        committed.ff_loop_cycles_per_sec = f64::NAN;
-        let outcomes = regression_outcomes(&committed, &fresh, 0.03);
+        committed[3].value = f64::NAN;
+        let outcomes = regression_outcomes(&committed, &fresh);
         assert_eq!(
-            outcomes
-                .iter()
-                .find(|o| o.kernel == "ff_loop")
-                .unwrap()
-                .verdict,
+            verdict(&outcomes, "ff_loop"),
             GateVerdict::SkippedNoBaseline
         );
         // The other kernels still gate normally.
@@ -802,90 +696,87 @@ mod tests {
     }
 
     #[test]
-    fn gate_verdicts_cover_regressed_noisy_and_ok() {
-        let committed = numbers(100.0);
-        let mut fresh = numbers(100.0);
-        // 8% tolerance: 91.9 < 92.0 floor fails, 92.1 passes.
-        fresh.loop_cycles_per_sec = 91.9;
-        let o = regression_outcomes(&committed, &fresh, 0.03);
-        let l = o.iter().find(|o| o.kernel == "loop").unwrap();
-        assert_eq!(l.verdict, GateVerdict::Regressed);
-        assert!((l.floor - 92.0).abs() < 1e-9);
-        fresh.loop_cycles_per_sec = 92.1;
-        let o = regression_outcomes(&committed, &fresh, 0.03);
-        assert_eq!(
-            o.iter().find(|o| o.kernel == "loop").unwrap().verdict,
-            GateVerdict::Ok
-        );
-        // A noisy fresh measurement is skipped even if the rate dropped.
-        fresh.loop_cycles_per_sec = 10.0;
-        fresh.loop_cov = 0.25;
-        let o = regression_outcomes(&committed, &fresh, 0.03);
-        assert_eq!(
-            o.iter().find(|o| o.kernel == "loop").unwrap().verdict,
-            GateVerdict::SkippedNoisy
-        );
+    fn missing_committed_kernel_row_fails() {
+        let mut committed = bench_rows(100.0);
+        committed.retain(|r| r.name != "serial");
+        let outcomes = regression_outcomes(&committed, &bench_rows(100.0));
+        let serial = outcomes.iter().find(|o| o.kernel == "serial").unwrap();
+        assert_eq!(serial.verdict, GateVerdict::Missing);
+        assert_eq!(serial.committed_rate, 0.0);
+        assert_eq!(verdict(&outcomes, "loop"), GateVerdict::Ok);
     }
 
     #[test]
-    fn zero_baseline_loop_rate_does_not_poison_speedup() {
-        let mut zeroed = numbers(0.0);
-        zeroed.loop_cycles_per_sec = 0.0;
-        let prev = BenchFile {
-            baseline: zeroed.clone(),
-            current: zeroed,
-            loop_speedup: 1.0,
-            audited: None,
-        };
-        let f = merge(Some(prev), numbers(50.0), false, false);
-        assert!(f.loop_speedup.is_finite());
-        assert_eq!(f.loop_speedup, 1.0);
+    fn bench_rewrite_keeps_serve_rows_and_hammer_keeps_kernel_rows() {
+        // The hammer records serve rows...
+        let mut ledger = Ledger::default();
+        merge(&mut ledger.current, bench_rows(100.0));
+        merge(&mut ledger.current, serve_rows(4.2));
+        // ...then a plain `reproduce bench` rewrites the file without
+        // measuring them; the recorded rows must survive.
+        merge(&mut ledger.current, bench_rows(120.0));
+        assert_eq!(val(&ledger.current, "serve/warm_p50"), 4.2);
+        assert_eq!(val(&ledger.current, "kernel/loop"), 120.0);
+        // A fresh hammer record replaces the serve rows only.
+        merge(&mut ledger.current, serve_rows(2.1));
+        assert_eq!(val(&ledger.current, "serve/warm_p50"), 2.1);
+        assert_eq!(val(&ledger.current, "kernel/loop"), 120.0);
+        assert_eq!(ledger.current.len(), bench_rows(0.0).len() + 2);
+        assert!(ledger.baseline.is_empty() && ledger.audited.is_empty());
     }
 
     #[test]
-    fn merge_keeps_previous_baseline() {
-        let first = merge(None, numbers(100.0), false, false);
-        assert_eq!(first.baseline, first.current);
-        assert!((first.loop_speedup - 1.0).abs() < 1e-12);
-        let second = merge(Some(first.clone()), numbers(250.0), false, false);
-        assert_eq!(second.baseline, numbers(100.0));
-        assert_eq!(second.current, numbers(250.0));
-        assert!((second.loop_speedup - 2.5).abs() < 1e-12);
-        let rebased = merge(Some(second), numbers(300.0), true, false);
-        assert_eq!(rebased.baseline, numbers(300.0));
+    fn loop_speedup_is_derived_from_rows() {
+        let mut ledger = Ledger::default();
+        merge(&mut ledger.current, bench_rows(250.0));
+        assert_eq!(ledger.loop_speedup(), None, "no baseline yet");
+        merge(&mut ledger.baseline, bench_rows(100.0));
+        assert!((ledger.loop_speedup().unwrap() - 2.5).abs() < 1e-12);
+        // A zero baseline loop rate has no meaningful ratio.
+        merge(&mut ledger.baseline, vec![kernel("loop", 0.0, 0.0)]);
+        assert_eq!(ledger.loop_speedup(), None);
+        assert_eq!(bench_windows(&ledger.current), 12);
     }
 
     #[test]
     fn audited_runs_never_touch_the_unaudited_trajectory() {
-        let base = merge(None, numbers(100.0), false, false);
-        let with_audit = merge(Some(base.clone()), numbers(60.0), false, true);
-        assert_eq!(with_audit.baseline, base.baseline);
-        assert_eq!(with_audit.current, base.current);
-        assert_eq!(with_audit.loop_speedup, base.loop_speedup);
-        assert_eq!(with_audit.audited, Some(numbers(60.0)));
-        // ...and a later feature-off run preserves the audited record.
-        let later = merge(Some(with_audit), numbers(120.0), false, false);
-        assert_eq!(later.current, numbers(120.0));
-        assert_eq!(later.audited, Some(numbers(60.0)));
+        let mut ledger = Ledger::default();
+        merge(&mut ledger.baseline, bench_rows(100.0));
+        merge(&mut ledger.current, bench_rows(200.0));
+        let before = ledger.clone();
+        merge(&mut ledger.audited, bench_rows(60.0));
+        assert_eq!(ledger.baseline, before.baseline);
+        assert_eq!(ledger.current, before.current);
+        assert_eq!(ledger.audited, bench_rows(60.0));
+        // ...and a later feature-off run preserves the audited rows.
+        merge(&mut ledger.current, bench_rows(120.0));
+        assert_eq!(ledger.audited, bench_rows(60.0));
     }
 
     #[test]
-    fn bench_file_round_trips_as_json() {
-        let f = merge(None, numbers(42.0), true, false);
-        let json = serde_json::to_string(&f).unwrap();
-        let back: BenchFile = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, f);
-        let with_audit = merge(Some(f), numbers(30.0), false, true);
-        let json = serde_json::to_string(&with_audit).unwrap();
-        let back: BenchFile = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, with_audit);
+    fn ledger_round_trips_through_its_file() {
+        let mut ledger = Ledger::default();
+        merge(&mut ledger.current, bench_rows(42.0));
+        merge(&mut ledger.audited, serve_rows(1.5));
+        let path = std::env::temp_dir().join(format!("fx8_ledger_{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        ledger.save(path).unwrap();
+        assert_eq!(load(path).unwrap(), ledger);
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
-    fn measure_run_reports_positive_rate() {
-        let opts = BenchOptions::default();
-        let rate = measure_run_adaptive(&mut idle_cluster(9), 2_000, 0.01, &opts).rate;
-        assert!(rate > 0.0);
+    fn render_prints_one_table_line_per_row() {
+        let rows = bench_rows(5_279_625.6);
+        let text = render("current", &rows);
+        assert!(text.starts_with("current:\n\n| layer | name |"));
+        assert_eq!(
+            text.lines().filter(|l| l.starts_with("| ")).count(),
+            rows.len() + 1
+        );
+        assert!(text.contains("| kernel | loop | 5279626 | cycles/s | 1.5% | 3 |"));
+        assert_eq!(sig4(2.1348e-5), "0.00002135");
+        assert_eq!(sig4(0.5448), "0.5448");
     }
 
     #[test]
@@ -894,37 +785,43 @@ mod tests {
         // sqrt(n - 1), so this threshold is met by any MIN_WINDOWS windows.
         // (0.99 was not: the idle cluster's short windows swing between
         // ~10M and ~300M cycles/s as fast-forward engages, a CoV above 1.)
-        let opts = BenchOptions {
-            cov_threshold: f64::from(MIN_WINDOWS).sqrt(),
-            max_windows: 7,
-        };
-        let m = measure_run_adaptive(&mut idle_cluster(11), 2_000, 0.01, &opts);
+        let loose = f64::from(MIN_WINDOWS).sqrt();
+        let m = measure_run_adaptive(&mut idle_cluster(11), 2_000, 0.01, loose, 7);
         assert_eq!(m.windows, MIN_WINDOWS, "a loose threshold stops early");
         assert!(m.rate > 0.0);
-        let strict = BenchOptions {
-            cov_threshold: 1e-12, // never satisfied in practice
-            max_windows: 4,
-        };
-        let m = measure_run_adaptive(&mut idle_cluster(12), 2_000, 0.01, &strict);
+        // An unreachable threshold (never satisfied in practice).
+        let m = measure_run_adaptive(&mut idle_cluster(12), 2_000, 0.01, 1e-12, 4);
         assert_eq!(m.windows, 4, "an unreachable threshold runs to the cap");
         assert!(m.cov >= 0.0);
     }
 
     #[test]
-    fn bench_options_validate_their_ranges() {
-        assert!(BenchOptions::default().validate().is_ok());
-        let bad_cov = BenchOptions {
-            cov_threshold: 0.0,
-            ..BenchOptions::default()
+    fn measure_writes_every_bench_row() {
+        // A short window and a tiny study keep this fast; the cache
+        // determinism asserts inside `measure` still run.
+        let cfg = StudyConfig {
+            n_random: 1,
+            session_hours: vec![0.05],
+            n_triggered: 1,
+            captures_per_triggered: 1,
+            n_transition: 1,
+            captures_per_transition: 1,
+            ..StudyConfig::quick()
         };
-        let err = bad_cov.validate().unwrap_err();
-        assert_eq!(err.field(), "bench.cov_threshold");
-        let bad_cap = BenchOptions {
-            max_windows: MIN_WINDOWS - 1,
-            ..BenchOptions::default()
-        };
-        let err = bad_cap.validate().unwrap_err();
-        assert_eq!(err.field(), "bench.max_windows");
+        let rows = measure(0.02, cfg);
+        let keys: Vec<String> = rows
+            .iter()
+            .map(|r| format!("{}/{}", r.layer, r.name))
+            .collect();
+        assert_eq!(
+            keys.join(" "),
+            "kernel/idle kernel/serial kernel/loop kernel/ff_loop engine/idle_skip \
+             engine/serial_skip engine/loop_skip engine/ff_loop_skip engine/loop_dense \
+             study/quick_wall cache/warm_wall cache/sweep_wall"
+        );
+        for r in rows.iter().filter(|r| r.layer == "kernel") {
+            assert!(r.value > 0.0 && r.n >= u64::from(MIN_WINDOWS), "{r:?}");
+        }
     }
 
     #[test]
@@ -938,27 +835,27 @@ mod tests {
     }
 
     #[test]
-    fn committed_bench_file_parses_with_cov_fields() {
+    fn committed_ledger_has_every_kernel_row() {
         // The checked-in BENCH_throughput.json must stay loadable by the
-        // harness that maintains it: every field is present, so the
-        // derived deserializer loads the real artifact.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-        let text = std::fs::read_to_string(path).expect("committed bench file exists");
-        let f: BenchFile = serde_json::from_str(&text).expect("committed bench file parses");
-        assert!(f.current.loop_cycles_per_sec > 0.0);
-        assert!(f.baseline.loop_cycles_per_sec > 0.0);
-        assert!(f.loop_speedup > 0.0);
-        // The current entry is written by the CoV-adaptive harness: its
-        // window count and per-kernel CoV fields must have round-tripped.
-        assert!(f.current.bench_windows >= u64::from(4 * MIN_WINDOWS));
-        for cov in [
-            f.current.idle_cov,
-            f.current.serial_cov,
-            f.current.loop_cov,
-            f.current.ff_loop_cov,
-        ] {
-            assert!((0.0..1.0).contains(&cov), "cov out of range: {cov}");
+        // harness that maintains it, and its `current` kernel rows must
+        // carry the adaptive harness's window count and CoV.
+        let ledger = load(LEDGER_PATH).expect("committed ledger loads");
+        for name in ["idle", "serial", "loop", "ff_loop"] {
+            let row = find(&ledger.current, "kernel", name)
+                .unwrap_or_else(|| panic!("committed current lacks kernel/{name}"));
+            assert!(row.value > 0.0, "kernel/{name} rate {}", row.value);
+            assert!(row.n >= u64::from(MIN_WINDOWS), "kernel/{name} n {}", row.n);
+            assert!(
+                (0.0..1.0).contains(&row.cov),
+                "kernel/{name} cov {}",
+                row.cov
+            );
         }
+        assert!(ledger.loop_speedup().unwrap() > 0.0);
+        // It is in the form `save` writes, so a rewrite changes only the
+        // rows a run measured.
+        let text = std::fs::read_to_string(LEDGER_PATH).unwrap();
+        assert_eq!(serde_json::to_string(&ledger).unwrap() + "\n", text);
     }
 
     #[test]
@@ -967,7 +864,7 @@ mod tests {
         // dense SoA stepper's domain.
         let mut c = loop_cluster(7);
         c.run(200_000);
-        let ratio = dense_ratio(&c);
+        let ratio = share(c.dense_counters());
         if cfg!(feature = "audit") {
             assert_eq!(ratio, 0.0, "audit builds never dense-step");
         } else {
@@ -975,40 +872,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn numbers_round_trip_with_fast_forward_fields() {
-        let n = numbers(42.0);
-        let json = serde_json::to_string(&n).unwrap();
-        let back: ThroughputNumbers = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, n);
-    }
-
     /// The regression gate must surface "file missing" and "file present
-    /// but lacking a kernel entry" as typed, printable errors — not a
-    /// panic and not one indistinguishable `None`.
+    /// but malformed" as typed, printable errors — not a panic and not one
+    /// indistinguishable `None`; a writer starts a missing file empty.
     #[test]
-    fn load_distinguishes_missing_file_from_missing_kernel_entry() {
-        let dir = std::env::temp_dir().join("fx8_bench_load_test");
+    fn load_distinguishes_missing_file_from_malformed_file() {
+        let dir = std::env::temp_dir().join(format!("fx8_bench_load_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
 
         let missing = dir.join("nonexistent.json");
         let e = load(missing.to_str().unwrap()).unwrap_err();
         assert!(matches!(e, BenchLoadError::Io { .. }), "got {e}");
         assert!(e.to_string().contains("cannot read"));
+        assert_eq!(
+            load_or_empty(missing.to_str().unwrap()).unwrap(),
+            Ledger::default()
+        );
 
-        // Valid JSON whose `current` entry lacks the loop kernel rate.
+        // Valid JSON that lacks the `current` row set.
         let partial = dir.join("partial.json");
-        std::fs::write(
-            &partial,
-            r#"{"baseline": {"idle_cycles_per_sec": 1.0}, "loop_speedup": 1.0}"#,
-        )
-        .unwrap();
-        let e = load(partial.to_str().unwrap()).unwrap_err();
-        match &e {
-            BenchLoadError::Parse { detail, .. } => {
-                assert!(detail.contains("missing field"), "detail: {detail}");
+        std::fs::write(&partial, r#"{"baseline": [], "audited": []}"#).unwrap();
+        for e in [
+            load(partial.to_str().unwrap()).unwrap_err(),
+            load_or_empty(partial.to_str().unwrap()).unwrap_err(),
+        ] {
+            match &e {
+                BenchLoadError::Parse { detail, .. } => {
+                    assert!(detail.contains("missing field"), "detail: {detail}");
+                }
+                other => panic!("expected Parse error, got {other}"),
             }
-            other => panic!("expected Parse error, got {other}"),
         }
 
         let garbage = dir.join("garbage.json");
@@ -1017,6 +910,7 @@ mod tests {
             load(garbage.to_str().unwrap()).unwrap_err(),
             BenchLoadError::Parse { .. }
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1025,7 +919,7 @@ mod tests {
         // should skip most cycles; the full-width loop should skip fewer.
         let mut ff = join_wait_cluster(5);
         ff.run(200_000);
-        let ratio = skip_ratio(&ff);
+        let ratio = share(ff.skip_counters());
         if cfg!(feature = "audit") {
             assert_eq!(ratio, 0.0, "audit builds never skip");
         } else {
